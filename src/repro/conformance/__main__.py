@@ -5,7 +5,8 @@ Two checks, both hard-fail:
 1. replay the committed golden trace (bit-identical event stream under
    the current tree, schema version/digest verified first);
 2. run the differential sweep: 4 execution modes x {no chaos, every
-   chaos profile}, serial vs ``jobs=N``, under the runtime sanitizer so
+   chaos profile} plus the tick-heavy and steady-tdp workloads, serial
+   vs ``jobs=N``, under the runtime sanitizer so
    RNG draw ledgers are part of the compared stream.
 """
 
@@ -23,6 +24,7 @@ from repro.units import ms
 DEFAULT_GOLDENS = (
     Path("tests/golden/scenario_default.trace.jsonl"),
     Path("tests/golden/scenario_tick_heavy.trace.jsonl"),
+    Path("tests/golden/scenario_steady_tdp.trace.jsonl"),
 )
 
 

@@ -35,6 +35,12 @@ MODES: tuple[tuple[bool, str], ...] = (
     (True, "direct"), (True, "hostif"),
     (False, "direct"), (False, "hostif"))
 
+#: Simulated-time floor per workload. The steady-tdp workload exists to
+#: cover a long TDP-bound phase of replayed PCU grants, which a
+#: millisecond-scale window never reaches; 300 ms is 600 PCU quanta per
+#: socket.
+MIN_MEASURE_NS = {"steady-tdp": ms(300)}
+
 #: Event kinds legitimately asymmetric between variants.
 CROSS_VARIANT_IGNORE = frozenset({"hostif-write"})
 
@@ -98,10 +104,12 @@ class DifferentialReport:
         lines = [
             "Differential conformance: 4 execution modes x "
             f"{{no chaos, {', '.join(sorted(CHAOS_PROFILES))}}} "
-            "+ tick-heavy, "
+            "+ tick-heavy + steady-tdp, "
             f"serial vs jobs={self.jobs}",
             f"(seed {self.seed}, {self.measure_ns / 1e6:.0f} ms simulated "
-            "per run; cross-variant diffs ignore hostif-write)",
+            "per run, steady-tdp at least "
+            f"{MIN_MEASURE_NS['steady-tdp'] / 1e6:.0f} ms; cross-variant "
+            "diffs ignore hostif-write)",
             "",
         ]
         for check in self.checks:
@@ -133,23 +141,25 @@ def run_differential(seed: int = 271, measure_ns: int = ms(10),
                      chaos_profiles: tuple[str, ...] = (
                          "", *sorted(CHAOS_PROFILES)),
                      workloads: tuple[str, ...] = (
-                         "firestarter", "tick-heavy"),
+                         "firestarter", "tick-heavy", "steady-tdp"),
                      ) -> DifferentialReport:
     """Run the full differential sweep and collect verdicts.
 
     The firestarter workload sweeps every chaos profile; the tick-heavy
-    workload (all cores churning under TDP-bound turbo dither) runs the
-    4 execution modes without chaos — its point is the vectorized hot
-    path, and the fault machinery is already covered by the firestarter
-    passes.
+    workload (all cores churning under TDP-bound turbo dither) and the
+    steady-tdp workload (a long TDP-bound phase of replayed grants) run
+    the 4 execution modes without chaos — their point is the PCU and
+    integration hot paths, and the fault machinery is already covered
+    by the firestarter passes.
     """
     report = DifferentialReport(seed=seed, measure_ns=measure_ns, jobs=jobs)
     sweeps = [(w, p)
               for w in workloads
               for p in (chaos_profiles if w == "firestarter" else ("",))]
     for workload, profile in sweeps:
+        run_ns = max(measure_ns, MIN_MEASURE_NS.get(workload, 0))
         manifests = [
-            make_manifest(seed=seed, measure_ns=measure_ns, fastpath=fp,
+            make_manifest(seed=seed, measure_ns=run_ns, fastpath=fp,
                           variant=var, chaos_profile=profile,
                           sanitize=sanitize, workload=workload)
             for fp, var in MODES]

@@ -109,11 +109,39 @@ TICK_HEAVY_CONFIGURE = {"direct": configure_tick_heavy_direct,
                         "hostif": configure_tick_heavy_hostif}
 
 
-def render_state(host: VirtualHost) -> str:
+def configure_steady_tdp_direct(host: VirtualHost) -> None:
+    """Steady-TDP scenario knobs, internal-API path.
+
+    Table V's setting: turbo on, EPB balanced. With FIRESTARTER on every
+    core the node sits at the TDP for the whole window, so almost every
+    PCU quantum replays the cached grant — the long steady phase the
+    steady-tdp golden trace pins down.
+    """
+    node = host.node
+    node.set_epb(Epb.BALANCED)
+    node.set_turbo(True)
+
+
+def configure_steady_tdp_hostif(host: VirtualHost) -> None:
+    """The same two knobs, purely through sysfs and MSR writes."""
+    per_socket = [s.cores[0].core_id for s in host.node.sockets]
+    for cpu in per_socket:
+        host.sysfs.write(f"{_SYS}/cpu{cpu}/power/energy_perf_bias", "6")
+        host.msr.write(cpu, HostMsr.IA32_MISC_ENABLE,
+                       encode_misc_enable(turbo_enabled=True))
+
+
+STEADY_TDP_CONFIGURE = {"direct": configure_steady_tdp_direct,
+                        "hostif": configure_steady_tdp_hostif}
+
+
+def render_state(host: VirtualHost,
+                 cpus: tuple[int, ...] = (*ACTIVE_CPUS, *C6_DISABLED_CPUS),
+                 ) -> str:
     """Full-precision state dump — any divergence shows as a text diff."""
     node = host.node
     lines = [f"t_ns={node.sim.now_ns}"]
-    for cpu in (*ACTIVE_CPUS, *C6_DISABLED_CPUS):
+    for cpu in cpus:
         core = node.core(cpu)
         lines.append(
             f"cpu{cpu} freq={core.freq_hz!r} req={core.requested_hz!r} "

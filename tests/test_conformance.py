@@ -34,6 +34,8 @@ from repro.errors import ConformanceError, TraceSchemaError
 from repro.units import ms
 
 GOLDEN = Path(__file__).parent / "golden" / "scenario_default.trace.jsonl"
+STEADY_TDP_GOLDEN = (Path(__file__).parent / "golden"
+                     / "scenario_steady_tdp.trace.jsonl")
 
 FAST = make_manifest(seed=17, measure_ns=ms(5))
 
@@ -113,6 +115,31 @@ class TestGoldenTrace:
         # Byte-identical, not merely event-equal.
         trace = Trace.from_jsonl(GOLDEN.read_text())
         assert record(trace_manifest(trace)).to_jsonl() == GOLDEN.read_text()
+
+
+class TestSteadyTdpGolden:
+    """The long TDP-bound steady phase: FIRESTARTER on all 24 cores,
+    turbo, EPB balanced, 300 ms — almost every PCU quantum replays the
+    cached grant, so this trace pins the replay path down."""
+
+    def test_manifest_is_a_long_unchaotic_steady_phase(self):
+        manifest = trace_manifest(
+            Trace.from_jsonl(STEADY_TDP_GOLDEN.read_text()))
+        assert manifest.workload == "steady-tdp"
+        assert manifest.measure_ns >= ms(300)
+        assert manifest.fault_plan is None and not manifest.chaos_profile
+
+    def test_replays_bit_identically(self):
+        text = STEADY_TDP_GOLDEN.read_text()
+        report = replay_file(STEADY_TDP_GOLDEN)
+        assert report.match, report.render()
+        trace = Trace.from_jsonl(text)
+        assert record(trace_manifest(trace)).to_jsonl() == text
+
+    def test_every_core_is_loaded_and_grants_dither(self):
+        trace = Trace.from_jsonl(STEADY_TDP_GOLDEN.read_text())
+        applied = {e.payload["core_id"] for e in trace.of_kind("freq-apply")}
+        assert applied == set(range(24))
 
 
 def trace_manifest(trace: Trace):
