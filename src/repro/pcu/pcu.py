@@ -11,16 +11,18 @@ independent phases — exactly the behaviour FTaLaT measures in Fig. 3.
 
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.engine import fastpath
+from repro.engine import fastpath, sanitize
 from repro.engine.rng import DrawBatch, spawn_rng
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EpochConsistencyError
 from repro.engine.simulator import Simulator
 from repro.pcu.avx import AvxUnit
 from repro.pcu.eet import EetController
 from repro.pcu.epb import Epb
-from repro.pcu.turbo import FrequencyDecision, TdpLimiter
+from repro.pcu.turbo import FrequencyDecision, OperatingPoint, TdpLimiter
 from repro.pcu.ufs import ufs_target_hz
 from repro.specs.cpu import CpuSpec
 from repro.units import us
@@ -31,6 +33,24 @@ if TYPE_CHECKING:
 
 # Tick-to-tick timing jitter of the grant opportunities.
 TICK_JITTER_NS = us(10)
+# Recent tick times kept for tests/analysis (~2 s of quanta).
+TICK_HISTORY = 4096
+
+
+@dataclass(frozen=True)
+class _ReplayPlan:
+    """What a steady replay of the cached derivation needs per tick.
+
+    ``pairs`` holds the distinct ``(target, freq_hz)`` pairs of the
+    cores the dithered grant serves; a replay whose grants keep every
+    pair within the apply threshold writes nothing. ``None`` means an
+    undithered (idle-core) grant is itself over the threshold, so every
+    replay goes through :meth:`Pcu._apply_decision`.
+    """
+
+    point: OperatingPoint
+    uncore_hz: float | None        # clamped uncore grant; None = no write
+    pairs: tuple[tuple[float, float], ...] | None
 
 
 class Pcu:
@@ -62,7 +82,6 @@ class Pcu:
         # and the fastpath parity guarantee are about.
         self._jitter_batch = DrawBatch(self.rng, "integers")
         self._dither_batch = DrawBatch(self.rng, "normal")
-        self.last_decision: FrequencyDecision | None = None
         self.tick_count = 0
         # PROCHOT#-style thermal throttle: while set, every grant is
         # clamped to this frequency (fault injection / thermal episodes).
@@ -81,7 +100,7 @@ class Pcu:
         # order = insertion order = the order per-core events had).
         self._apply_batches: dict[int, tuple[object, dict]] = {}
         self._pending_apply: dict[int, int] = {}   # core id -> fire time
-        self._tick_times: list[int] = []      # for tests/analysis
+        self._tick_times: deque[int] = deque(maxlen=TICK_HISTORY)
         self._eet_last_stall = 0.0
         self._eet_last_cycles = 0.0
         # Steady-state fast path: when the node epoch and every control
@@ -98,6 +117,9 @@ class Pcu:
         self._ctrl_decide_targets: dict[int, float] = {}
         self._ctrl_activity = 0.0
         self._ctrl_ufs: float | None = None
+        # Built on the first steady replay of a cached derivation.
+        self._plan: _ReplayPlan | None = None
+        self._plan_ticks = 0     # plan-served ticks (sanitize sampling)
 
     # ---- lifecycle -------------------------------------------------------------
 
@@ -242,20 +264,94 @@ class Pcu:
                               core.avx_license.avx_capped))
         return tuple(parts)
 
+    def _build_plan(self) -> _ReplayPlan:
+        point = self.limiter.solve(self._ctrl_decide_targets,
+                                   self._ctrl_activity, self._ctrl_ufs)
+        uncore_hz = (None if point.f_uncore is None
+                     else self._clamp_uncore(point.f_uncore))
+        dithered = ({} if point.f_common is None
+                    else self._ctrl_decide_targets)
+        targets = self._ctrl_targets
+        pairs: set[tuple[float, float]] = set()
+        for core in self.socket.cores:
+            target = dithered.get(core.core_id)
+            if target is not None:
+                pairs.add((target, core.freq_hz))
+            elif not (abs(targets[core.core_id] - core.freq_hz)
+                      < self._APPLY_THRESHOLD_HZ):
+                return _ReplayPlan(point, uncore_hz, None)
+        return _ReplayPlan(point, uncore_hz, tuple(pairs))
+
+    def _plan_holds(self, plan: _ReplayPlan, f_core: float) -> bool:
+        """True when re-applying the grants under ``f_core`` writes
+        nothing: no apply pending, every grant within the threshold of
+        its core's frequency, the uncore already at its grant."""
+        if plan.pairs is None or self._pending_apply:
+            return False
+        threshold = self._APPLY_THRESHOLD_HZ
+        for target, freq in plan.pairs:
+            if not abs(min(target, f_core) - freq) < threshold:
+                return False
+        uncore = self.socket.uncore
+        return (plan.uncore_hz is None or uncore.halted
+                or uncore.freq_hz == plan.uncore_hz)
+
     def _replay_cached(self) -> None:
         """Re-issue the cached derivation's grants.
 
-        The limiter still re-decides (re-dithering TDP-bound grants
-        exactly as the slow path would — same rng draws in the same
-        order) and the grants are re-applied.
+        The dither is drawn exactly as the slow path draws it (same rng
+        draws in the same order). When the replay plan shows the grants
+        would change nothing, only the MBVR power state is re-selected;
+        otherwise the grants are built from that same draw and applied.
         """
-        decision = self.limiter.decide(
-            targets_hz=self._ctrl_decide_targets,
-            activity_sum=self._ctrl_activity,
-            ufs_target_hz=self._ctrl_ufs,
-            rng=self._dither_batch,
-        )
-        self._apply_decision(decision, self._ctrl_targets)
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = self._build_plan()
+        f_core = self.limiter.dither(plan.point, self._dither_batch)
+        if self._plan_holds(plan, f_core):
+            if self.socket.sanitize_enabled:
+                self._check_plan(plan, f_core)
+            self._select_mbvr_state()
+            return
+        self._apply_decision(
+            self.limiter.grant(plan.point, self._ctrl_decide_targets, f_core),
+            self._ctrl_targets)
+
+    def _check_plan(self, plan: _ReplayPlan, f_core: float) -> None:
+        """Sanitize mode: re-derive a plan-served tick the slow way.
+
+        Every ``EPOCH_CHECK_STRIDE``-th plan-served tick recomputes the
+        per-core grants and the apply decisions from the dither already
+        drawn (no extra draw, so the ledger is unchanged) and raises if
+        any of them would have written: a core or uncore field moved
+        without an epoch bump, leaving the plan stale.
+        """
+        count = self._plan_ticks
+        self._plan_ticks = count + 1
+        if count % sanitize.EPOCH_CHECK_STRIDE != 0:
+            return
+        socket = self.socket
+        grants = self.limiter.grant(plan.point, self._ctrl_decide_targets,
+                                    f_core).core_targets_hz
+        for core in socket.cores:
+            granted = grants.get(core.core_id)
+            if granted is None:
+                granted = self._ctrl_targets[core.core_id]
+            if not (abs(granted - core.freq_hz) < self._APPLY_THRESHOLD_HZ
+                    and core.pending_freq_hz is None):
+                raise EpochConsistencyError(
+                    f"socket {socket.socket_id} core {core.core_id}: the "
+                    f"PCU replay plan skipped a grant of "
+                    f"{granted / 1e9:.4f} GHz against {core.freq_hz / 1e9:.4f}"
+                    " GHz — a core field was mutated without an epoch bump")
+        uncore = socket.uncore
+        if (plan.uncore_hz is not None and not uncore.halted
+                and uncore.freq_hz != plan.uncore_hz):
+            raise EpochConsistencyError(
+                f"socket {socket.socket_id} uncore: the PCU replay plan "
+                f"skipped an uncore grant of {plan.uncore_hz / 1e9:.4f} GHz "
+                f"against {uncore.freq_hz / 1e9:.4f} GHz — the uncore was "
+                "mutated without an epoch bump")
 
     def _control(self, now_ns: int) -> None:
         socket = self.socket
@@ -271,10 +367,12 @@ class Pcu:
             if self._ctrl_key is not None and key[1:] == self._ctrl_key[1:]:
                 # The epoch moved but every control knob is unchanged;
                 # coalesce if the grant inputs themselves cycled back to
-                # the cached operating point (tick-heavy churn).
+                # the cached operating point (tick-heavy churn). Core
+                # frequencies may have moved, so the plan is rebuilt.
                 sig = self._grant_signature()
                 if sig == self._ctrl_sig:
                     self._ctrl_key = key
+                    self._plan = None
                     self._replay_cached()
                     return
 
@@ -342,12 +440,12 @@ class Pcu:
         self._ctrl_decide_targets = decide_targets
         self._ctrl_activity = activity_sum
         self._ctrl_ufs = ufs_target
+        self._plan = None
         self._apply_decision(decision, targets)
 
     def _apply_decision(self, decision: FrequencyDecision,
                         targets: dict[int, float]) -> None:
         socket = self.socket
-        self.last_decision = decision
         for core in socket.cores:
             granted = decision.core_targets_hz.get(core.core_id)
             if granted is None:
@@ -366,7 +464,10 @@ class Pcu:
                     "uncore-apply", from_hz=socket.uncore.freq_hz,
                     to_hz=uncore_hz, tdp_bound=decision.tdp_bound)
             socket.uncore.set_frequency(uncore_hz)
+        self._select_mbvr_state()
 
+    def _select_mbvr_state(self) -> None:
+        socket = self.socket
         breakdown = socket.last_breakdown
         estimated_w = breakdown.package_w if breakdown is not None \
             else socket.evaluate_power().package_w

@@ -46,6 +46,21 @@ class FrequencyDecision:
     tdp_bound: bool
 
 
+@dataclass(frozen=True)
+class OperatingPoint:
+    """The limiter's undithered solve for one input point.
+
+    ``f_common`` is the highest pre-TDP core target, or ``None`` when
+    there is nothing to grant (package asleep, or no target): such a
+    point grants no core and never dithers.
+    """
+
+    f_common: float | None
+    f_core: float
+    f_uncore: float | None
+    tdp_bound: bool
+
+
 class TdpLimiter:
     """Computes frequency grants under the package power budget."""
 
@@ -93,15 +108,22 @@ class TdpLimiter:
         ufs_target_hz: float | None,
         rng: "np.random.Generator | DrawBatch | None" = None,
     ) -> FrequencyDecision:
+        """Solve, dither and grant: :meth:`solve` then :meth:`grant`."""
+        point = self.solve(targets_hz, activity_sum, ufs_target_hz)
+        return self.grant(point, targets_hz, self.dither(point, rng))
+
+    def solve(self, targets_hz: dict[int, float], activity_sum: float,
+              ufs_target_hz: float | None) -> OperatingPoint:
+        """The pure (memoized, draw-free) half of :meth:`decide`."""
         spec = self.spec
         if ufs_target_hz is None:
             # Package sleeping: no active cores by definition.
-            return FrequencyDecision(core_targets_hz={}, uncore_hz=None,
-                                     tdp_bound=False)
+            return OperatingPoint(f_common=None, f_core=0.0, f_uncore=None,
+                                  tdp_bound=False)
         ufs_cap = min(ufs_target_hz, spec.uncore_max_hz)
         if not targets_hz:
-            return FrequencyDecision(core_targets_hz={}, uncore_hz=ufs_cap,
-                                     tdp_bound=False)
+            return OperatingPoint(f_common=None, f_core=0.0,
+                                  f_uncore=ufs_cap, tdp_bound=False)
 
         budget = self.budget_w
         f_common = max(targets_hz.values())
@@ -117,8 +139,16 @@ class TdpLimiter:
             if len(memo) >= self._SOLVE_MEMO_MAX:
                 memo.clear()
             memo[key] = (f_core, f_uncore, tdp_bound)
+        return OperatingPoint(f_common=f_common, f_core=f_core,
+                              f_uncore=f_uncore, tdp_bound=tdp_bound)
 
-        if tdp_bound and rng is not None:
+    def dither(self, point: OperatingPoint,
+               rng: "np.random.Generator | DrawBatch | None") -> float:
+        """The core grant ceiling: the solved core frequency, plus one
+        dither draw when the point is TDP-bound (the only draw a
+        decision makes)."""
+        f_core = point.f_core
+        if point.tdp_bound and rng is not None:
             # The PCU hands in a batched buffer; callers with a bare
             # generator (tuning scripts, tests) draw directly. Same
             # distribution, same one-draw-per-decision ledger footprint.
@@ -126,11 +156,19 @@ class TdpLimiter:
                 dither = float(rng.take(0.0, DITHER_SIGMA_HZ))
             else:
                 dither = float(rng.normal(0.0, DITHER_SIGMA_HZ))
-            f_core = min(max(f_core + dither, spec.min_hz), f_common)
+            f_core = min(max(f_core + dither, self.spec.min_hz),
+                         point.f_common)
+        return f_core
 
-        grants = {cid: min(t, f_core) for cid, t in targets_hz.items()}
-        return FrequencyDecision(core_targets_hz=grants, uncore_hz=f_uncore,
-                                 tdp_bound=tdp_bound)
+    @staticmethod
+    def grant(point: OperatingPoint, targets_hz: dict[int, float],
+              f_core: float) -> FrequencyDecision:
+        """Per-core grants under the (dithered) ceiling ``f_core``."""
+        grants = ({} if point.f_common is None
+                  else {cid: min(t, f_core) for cid, t in targets_hz.items()})
+        return FrequencyDecision(core_targets_hz=grants,
+                                 uncore_hz=point.f_uncore,
+                                 tdp_bound=point.tdp_bound)
 
     def _solve(self, f_common: float, activity_sum: float, ufs_cap: float,
                budget: float) -> tuple[float, float, bool]:
