@@ -18,7 +18,10 @@ half, catching what static analysis cannot see:
   :meth:`repro.system.socket.Socket.integrate` recomputes the cached
   rate matrix from scratch on a sampled subset of cache-hit segments
   (every :data:`EPOCH_CHECK_STRIDE`-th) and raises
-  :class:`~repro.errors.EpochConsistencyError` if the cache is stale.
+  :class:`~repro.errors.EpochConsistencyError` if the cache is stale;
+  :meth:`repro.system.node.Node.integrate` likewise samples the node's
+  rate stack and residency index (the copies the counters actually
+  advance from) against each socket's cached rates.
 
 Enable process-wide with ``REPRO_SANITIZE=1`` (checked at
 ``Simulator``/``Socket`` construction), or per-node at runtime with
