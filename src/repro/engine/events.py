@@ -72,6 +72,19 @@ class EventQueue:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
 
+    def first_other(self, owned) -> tuple[int, int] | None:
+        """``(time_ns, seq)`` of the earliest live event whose handle is
+        not in ``owned``, or None. A linear scan of the heap: steppers
+        call it once per batch, and the heap holds a few dozen events."""
+        best = None
+        for entry in self._heap:
+            event = entry[2]
+            if event.cancelled or event in owned:
+                continue
+            if best is None or entry < best:
+                best = entry
+        return None if best is None else (best[0], best[1])
+
     def pop(self) -> Event | None:
         """Pop the next live event, or None if empty."""
         heap = self._heap

@@ -16,6 +16,12 @@ accounting happens per ``take``, exactly like a direct generator call;
 the refill itself draws from the unwrapped stream and is invisible to
 the ledger by design (the ``rng-batch-bypass`` lint rule keeps everyone
 else out of the buffer).
+
+A stepper that folds many ticks into one batch (``repro.system.horizon``)
+reads the buffered values ahead with :meth:`DrawBatch.peek` and then
+consumes exactly the prefix it used with :meth:`DrawBatch.commit`: the
+cursor, the generator state and the ledger end where the same number of
+``take`` calls would have left them.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ DEFAULT_SEED = 0x9A5735
 #: generator call, small enough that a retune (draw args changed, e.g. a
 #: PCU_JITTER fault widening the tick spread) discards little work.
 DRAW_BATCH_BLOCK = 256
+
+_NO_DRAWS = np.empty(0)
+_NO_DRAWS.flags.writeable = False
 
 
 def make_rng(seed: int | None = None) -> np.random.Generator:
@@ -73,7 +82,7 @@ class DrawBatch:
     """
 
     __slots__ = ("_parent", "_method", "_block",
-                 "_prefill", "_prefill_args", "_prefill_cursor")
+                 "_prefill", "_prefill_args", "_prefill_cursor", "_site")
 
     def __init__(self, parent, method: str,
                  block: int = DRAW_BATCH_BLOCK) -> None:
@@ -85,6 +94,7 @@ class DrawBatch:
         self._prefill: np.ndarray | None = None
         self._prefill_args: tuple = ()
         self._prefill_cursor = 0
+        self._site: str | None = None   # ledger site of the last take
 
     def take(self, *args):
         """One draw of ``method(*args)`` from the buffer (numpy scalar)."""
@@ -102,5 +112,43 @@ class DrawBatch:
         ledger = getattr(self._parent, "_ledger", None)
         if ledger is not None:
             from repro.engine import sanitize
-            ledger.record(sanitize._site_of(sys._getframe(1)), self._method)
+            site = self._site = sanitize._site_of(sys._getframe(1))
+            ledger.record(site, self._method)
         return prefill[cursor]
+
+    def peek(self, n: int, *args) -> np.ndarray:
+        """The next (at most ``n``) values ``take(*args)`` would return
+        without a refill or retune, left unconsumed.
+
+        Empty when the very next ``take`` would refill (buffer spent or
+        never filled) or retune (``args`` differ). The result is a
+        read-only view: use it before the next ``take``/``commit``.
+        """
+        prefill = self._prefill
+        if prefill is None or args != self._prefill_args:
+            return _NO_DRAWS
+        cursor = self._prefill_cursor
+        view = prefill[cursor:cursor + n]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def ledgered(self) -> bool:
+        """True when draws are recorded in a sanitize ledger."""
+        return getattr(self._parent, "_ledger", None) is not None
+
+    def commit(self, n: int = 1) -> None:
+        """Consume ``n`` peeked values, exactly as ``n`` ``take`` calls
+        from the site of the last ``take`` would: same cursor, same
+        ledger records (one per draw, so a caller that interleaves
+        draw sites commits one draw at a time, in draw order)."""
+        cursor = self._prefill_cursor + n
+        if self._prefill is None or cursor > self._block:
+            raise ValueError(f"cannot commit {n} draws past the buffer")
+        self._prefill_cursor = cursor
+        ledger = getattr(self._parent, "_ledger", None)
+        if ledger is not None and n:
+            if self._site is None:
+                raise ValueError("commit before any take: no ledger site")
+            for _ in range(n):
+                ledger.record(self._site, self._method)

@@ -5,6 +5,12 @@ nothing in the system changes (frequencies, voltages, workload phases are
 all piecewise-constant by construction), so each inter-event segment is
 integrated in closed form — there is no fixed time step and no per-cycle
 Python loop, per the optimization guidance for HPC Python.
+
+A *stepper* (:attr:`Simulator.stepper`) may fold a run of events it owns
+into one exact batch: ``run_until`` offers it the clock before every
+event it pops. The engine stays generic — a stepper identifies its
+events by the :class:`~repro.engine.events.Event` handles scheduling
+returned, never by action identity (tracing harnesses wrap actions).
 """
 
 from __future__ import annotations
@@ -57,6 +63,22 @@ class RepeatingEvent:
         if self._event is not None:
             self._event.cancel()
 
+    @property
+    def pending(self) -> Event | None:
+        """The scheduled next firing (``None`` once stopped)."""
+        return None if self._stopped else self._event
+
+    def fast_forward(self, fired_ns: int) -> None:
+        """A stepper carried out every firing up to ``fired_ns`` on the
+        action's behalf: drop the pending event and schedule the firing
+        after ``fired_ns`` — the successor the last firing would have
+        scheduled."""
+        if self._stopped or self._event is None:
+            raise SimulationError("fast-forward of a stopped repeating event")
+        self._event.cancel()
+        self._event = self._sim.schedule_at(
+            fired_ns + self.period_ns, self._fire, self._label)
+
 
 class Simulator:
     """Owns the clock, the event queue, the RNG root, and the integrators."""
@@ -76,6 +98,11 @@ class Simulator:
         self.trace = trace if trace is not None else TraceRecorder(kinds=set())
         self._integrators: list[Integrator] = []
         self._fault_hooks: dict[str, list[Callable[..., Any]]] = {}
+        #: Offered the clock before every event ``run_until`` pops, with
+        #: the run's limit; it may fire events it owns in one batch and
+        #: advance ``now_ns`` to the last of them (see
+        #: :mod:`repro.system.horizon`). ``None`` = plain event loop.
+        self.stepper: Callable[[int], None] | None = None
 
     # ---- component registration ------------------------------------------
 
@@ -109,6 +136,10 @@ class Simulator:
             pass
         if not hooks:
             del self._fault_hooks[point]
+
+    def has_fault_hooks(self) -> bool:
+        """True while any interception point has a hook registered."""
+        return bool(self._fault_hooks)
 
     def fire_fault_hooks(self, point: str, **context: Any) -> list[Any]:
         """Run the hooks of ``point``; returns the non-None directives."""
@@ -163,6 +194,9 @@ class Simulator:
         pop_next = self.queue.pop_next_until
         integrators = self._integrators
         while True:
+            stepper = self.stepper
+            if stepper is not None:
+                stepper(t_ns)
             event = pop_next(t_ns)
             if event is None:
                 break

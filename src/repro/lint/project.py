@@ -61,6 +61,11 @@ WALLCLOCK_ORIGINS = frozenset({
     "asyncio.sleep",
 })
 
+#: Attributes holding the simulator's write-only counters: sim code
+#: increments their fields (``x.horizon_stats.taken += 1``) and never
+#: reads them (``arch-sim-stats-read``).
+SIM_STATS_ATTRS = frozenset({"horizon_stats"})
+
 #: Ambient (unseeded / host-entropy) RNG constructors and draw sites.
 AMBIENT_RNG_EXACT = frozenset({
     "os.urandom", "uuid.uuid4", "uuid.uuid1",
@@ -189,6 +194,8 @@ class ModuleFacts:
     suppression_meta: list[Finding] = field(default_factory=list)
     has_wallclock: bool = False
     imports_asyncio: bool = False
+    #: lines reading a field of a write-only counter object
+    stats_reads: list[int] = field(default_factory=list)
     parse_error: bool = False
 
     def toplevel_imports(self) -> list[ImportFact]:
@@ -256,6 +263,17 @@ class _FactsExtractor(ast.NodeVisitor):
 
     def _import_scope(self) -> str:
         return "toplevel" if len(self._frames) == 1 else "deferred"
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        # ``<...>.horizon_stats.<field>`` loaded: a read of a write-only
+        # counter (an augmented assignment's target is a Store).
+        if isinstance(node.ctx, ast.Load):
+            base = node.value
+            name = base.attr if isinstance(base, ast.Attribute) else (
+                base.id if isinstance(base, ast.Name) else None)
+            if name in SIM_STATS_ATTRS:
+                self.facts.stats_reads.append(node.lineno)
+        self.generic_visit(node)
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
@@ -795,6 +813,7 @@ def _facts_from_dict(data: dict) -> ModuleFacts:
     facts.suppression_meta = [Finding(**d) for d in data["suppression_meta"]]
     facts.has_wallclock = data["has_wallclock"]
     facts.imports_asyncio = data["imports_asyncio"]
+    facts.stats_reads = list(data.get("stats_reads", ()))
     facts.parse_error = data["parse_error"]
     return facts
 

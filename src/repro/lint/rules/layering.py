@@ -19,6 +19,10 @@ package root, scripts, benchmarks) are unconstrained.
   imports that stays inside the core's downward closure.  This is what
   keeps bit-identical replay honest: the sim core cannot observe host
   time even by accident of transitive import.
+* ``arch-sim-stats-read`` (same family) — no sim-core module reads a
+  field of the simulator's write-only counters (``horizon_stats``):
+  the simulation increments them, tests and docs read them, so they can
+  never steer a run.
 """
 
 from __future__ import annotations
@@ -147,16 +151,29 @@ class ImportCycleRule(ProjectRule):
 @register_project
 class SimCoreReachRule(ProjectRule):
     id = "arch-sim-reach"
+    ids = ("arch-sim-reach", "arch-sim-stats-read")
     description = ("sim-core module reaches asyncio or wall-clock code "
-                   "at import time")
+                   "at import time, or reads a write-only counter")
     hint = ("the deterministic core must stay clock-free: move the "
             "asyncio/wall-clock code out of the core's import closure "
             "or out of the sim-core prefix list")
+    stats_hint = ("sim code only increments the counters (`+= 1`); read "
+                  "them from tests, docs or the benchmark harness")
 
     def check_project(self, index: ProjectIndex,
                       config: LintConfig) -> Iterable[Finding]:
         if not config.sim_core:
             return
+        for facts in sorted(index.modules.values(),
+                            key=lambda f: f.module):
+            if not config.in_sim_core(facts.module):
+                continue
+            for lineno in facts.stats_reads:
+                yield self.finding(
+                    facts.path, lineno,
+                    f"sim-core module {facts.module} reads a write-only "
+                    "counter", rule_id="arch-sim-stats-read",
+                    hint=self.stats_hint)
         # taint: a module is tainted if it imports asyncio or calls
         # wall-clock functions anywhere; propagate backward over the
         # module-level import graph so importing a tainted module is

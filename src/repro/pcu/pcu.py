@@ -15,6 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.engine import fastpath, sanitize
 from repro.engine.rng import DrawBatch, spawn_rng
 from repro.errors import ConfigurationError, EpochConsistencyError
@@ -22,7 +24,12 @@ from repro.engine.simulator import Simulator
 from repro.pcu.avx import AvxUnit
 from repro.pcu.eet import EetController
 from repro.pcu.epb import Epb
-from repro.pcu.turbo import FrequencyDecision, OperatingPoint, TdpLimiter
+from repro.pcu.turbo import (
+    DITHER_ARGS,
+    FrequencyDecision,
+    OperatingPoint,
+    TdpLimiter,
+)
 from repro.pcu.ufs import ufs_target_hz
 from repro.specs.cpu import CpuSpec
 from repro.units import us
@@ -120,6 +127,12 @@ class Pcu:
         # Built on the first steady replay of a cached derivation.
         self._plan: _ReplayPlan | None = None
         self._plan_ticks = 0     # plan-served ticks (sanitize sampling)
+        # Horizon stepping (repro.system.horizon) folds ticks and EET
+        # polls by their handles; `held` says the last tick was a
+        # plan-served replay that wrote nothing.
+        self._tick_event = None
+        self._eet_task = None
+        self.held = False
 
     # ---- lifecycle -------------------------------------------------------------
 
@@ -130,12 +143,13 @@ class Pcu:
             # Node.set_pstate); still run a coarse control tick for TDP/UFS.
             quantum = us(500)
         phase = int(self.rng.integers(0, quantum))
-        self.sim.schedule_after(max(phase, 1), self._tick,
-                                label=f"pcu-tick-s{self.socket.socket_id}")
+        self._tick_event = self.sim.schedule_after(
+            max(phase, 1), self._tick,
+            label=f"pcu-tick-s{self.socket.socket_id}")
         if self.spec.eet_poll_period_ns > 0:
-            self.sim.schedule_every(self.spec.eet_poll_period_ns,
-                                    self._eet_poll,
-                                    label=f"eet-poll-s{self.socket.socket_id}")
+            self._eet_task = self.sim.schedule_every(
+                self.spec.eet_poll_period_ns, self._eet_poll,
+                label=f"eet-poll-s{self.socket.socket_id}")
 
     # ---- software control -----------------------------------------------------------
 
@@ -166,17 +180,25 @@ class Pcu:
     # ---- periodic work --------------------------------------------------------------
 
     def _eet_poll(self, _now_ns: int) -> None:
-        self.eet.poll(self._stall_fraction_windowed(), self.epb)
+        socket = self.socket
+        self.eet_sample(socket.counter_total("stall_cycles"),
+                        socket.counter_total("aperf"))
 
-    def _stall_fraction_windowed(self) -> float:
+    def eet_sample(self, stall: float, cycles: float) -> bool:
+        """One EET poll on the socket's stall-cycle and unhalted-cycle
+        totals; True when it moved the trim (and with it the control
+        key, so the next tick derives afresh)."""
+        before = self.eet.trim_hz
+        self.eet.poll(self._stall_fraction_windowed(stall, cycles), self.epb)
+        return self.eet.trim_hz != before
+
+    def _stall_fraction_windowed(self, stall: float, cycles: float) -> float:
         """Stall cycles over unhalted cycles since the previous poll.
 
         Hardware counts events over the interval; a phase that ended just
         before the poll still dominates the sample — the staleness that
         makes EET mis-clock fast phase-switchers (Section II-E).
         """
-        stall = self.socket.counter_total("stall_cycles")
-        cycles = self.socket.counter_total("aperf")
         d_stall = stall - self._eet_last_stall
         d_cycles = cycles - self._eet_last_cycles
         self._eet_last_stall = stall
@@ -199,8 +221,110 @@ class Pcu:
         quantum = self.spec.pcu_quantum_ns or us(500)
         spread = TICK_JITTER_NS + self.extra_tick_jitter_ns
         jitter = int(self._jitter_batch.take(-spread, spread + 1))
-        self.sim.schedule_after(max(quantum + jitter, 1), self._tick,
-                                label=f"pcu-tick-s{self.socket.socket_id}")
+        self._tick_event = self.sim.schedule_after(
+            max(quantum + jitter, 1), self._tick,
+            label=f"pcu-tick-s{self.socket.socket_id}")
+
+    # ---- horizon stepping (repro.system.horizon) ------------------------------------
+
+    @property
+    def pending_tick(self):
+        """The scheduled next tick's event handle."""
+        return self._tick_event
+
+    @property
+    def eet_task(self):
+        """The EET poll series (``None`` on parts without EET polling)."""
+        return self._eet_task
+
+    @property
+    def draws_ledgered(self) -> bool:
+        """True when this PCU's draws land in a sanitize ledger."""
+        return self._jitter_batch.ledgered
+
+    def _set_held(self, held: bool) -> None:
+        self.held = held
+        self.node.horizon.on_held(held)
+
+    def horizon_ready(self) -> bool:
+        """True when the next tick is a replay of the cached derivation
+        whose plan writes nothing except through the dither: the last
+        tick held, no knob or epoch moved since, no apply is pending and
+        the uncore sits at its grant."""
+        plan = self._plan
+        if not (self.held and self.fastpath_enabled and plan is not None
+                and plan.pairs is not None) or self._pending_apply:
+            return False
+        if self._control_key() != self._ctrl_key:
+            return False
+        uncore = self.socket.uncore
+        if not (plan.uncore_hz is None or uncore.halted
+                or uncore.freq_hz == plan.uncore_hz):
+            return False
+        event = self._tick_event
+        return event is not None and not event.cancelled
+
+    def peek_ticks(self, n: int) -> tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]:
+        """Speculate up to ``n`` upcoming replay ticks from the buffered
+        draws, consuming nothing.
+
+        Returns ``(times, holds, f_core)``: ``times`` has one entry more
+        than the others — the pending tick first, then each tick's
+        successor — ``holds[k]`` says tick ``k``'s replay writes nothing
+        (:meth:`_plan_holds` on its dithered ceiling ``f_core[k]``).
+        Fewer than ``n`` ticks come back when a draw buffer would refill
+        or retune first. Only valid while :meth:`horizon_ready`.
+        """
+        plan = self._plan
+        point = plan.point
+        spread = TICK_JITTER_NS + self.extra_tick_jitter_ns
+        jitter = self._jitter_batch.peek(n, -spread, spread + 1)
+        if point.tdp_bound:
+            draws = self._dither_batch.peek(len(jitter), *DITHER_ARGS)
+            jitter = jitter[:len(draws)]
+        else:
+            draws = jitter
+        f_core = self.limiter.dither_many(point, draws)
+        holds = np.ones(len(jitter), dtype=bool)
+        threshold = self._APPLY_THRESHOLD_HZ
+        for target, freq in plan.pairs:
+            holds &= np.abs(np.minimum(target, f_core) - freq) < threshold
+        quantum = self.spec.pcu_quantum_ns or us(500)
+        times = np.empty(len(jitter) + 1, dtype=np.int64)
+        times[0] = self._tick_event.time_ns
+        np.cumsum(np.maximum(quantum + jitter, 1), out=times[1:])
+        times[1:] += times[0]
+        return times, holds, f_core
+
+    def fold_tick(self, time_ns: int, f_core: float) -> None:
+        """Carry out one held tick a stepper folded, minus its draws and
+        its successor (:meth:`commit_draws`, :meth:`reschedule_tick`)."""
+        self.tick_count += 1
+        self._tick_times.append(time_ns)
+        if self.socket.sanitize_enabled:
+            self._check_plan(self._plan, f_core)
+
+    def commit_draws(self, n: int) -> None:
+        """Consume the draws of ``n`` folded ticks, tick by tick."""
+        dither = self._dither_batch if self._plan.point.tdp_bound else None
+        jitter = self._jitter_batch
+        if not jitter.ledgered:
+            if dither is not None:
+                dither.commit(n)
+            jitter.commit(n)
+            return
+        for _ in range(n):
+            if dither is not None:
+                dither.commit()
+            jitter.commit()
+
+    def reschedule_tick(self, time_ns: int) -> None:
+        """Replace the pending tick by the successor the last folded
+        tick would have scheduled."""
+        self._tick_event.cancel()
+        self._tick_event = self.sim.schedule_at(
+            time_ns, self._tick, label=f"pcu-tick-s{self.socket.socket_id}")
 
     # ---- the control decision ---------------------------------------------------------
 
@@ -311,8 +435,12 @@ class Pcu:
         if self._plan_holds(plan, f_core):
             if self.socket.sanitize_enabled:
                 self._check_plan(plan, f_core)
-            self._select_mbvr_state()
+            self.select_mbvr_state()
+            if not self.held:
+                self._set_held(True)
             return
+        if self.held:
+            self._set_held(False)
         self._apply_decision(
             self.limiter.grant(plan.point, self._ctrl_decide_targets, f_core),
             self._ctrl_targets)
@@ -376,6 +504,8 @@ class Pcu:
                     self._replay_cached()
                     return
 
+        if self.held:
+            self._set_held(False)
         active = socket.active_cores()
         n_active = max(len(active), 1)
 
@@ -464,9 +594,9 @@ class Pcu:
                     "uncore-apply", from_hz=socket.uncore.freq_hz,
                     to_hz=uncore_hz, tdp_bound=decision.tdp_bound)
             socket.uncore.set_frequency(uncore_hz)
-        self._select_mbvr_state()
+        self.select_mbvr_state()
 
-    def _select_mbvr_state(self) -> None:
+    def select_mbvr_state(self) -> None:
         socket = self.socket
         breakdown = socket.last_breakdown
         estimated_w = breakdown.package_w if breakdown is not None \

@@ -35,6 +35,8 @@ CORE_UNDERSHOOT = 0.013
 # Control-loop dither on TDP-bound grants (the duty-cycling hardware
 # oscillation that makes measured medians sit between 100 MHz bins).
 DITHER_SIGMA_HZ = 5e6
+#: Arguments of the one dither draw, ``normal(mean, sigma)``.
+DITHER_ARGS = (0.0, DITHER_SIGMA_HZ)
 
 
 @dataclass(frozen=True)
@@ -153,12 +155,22 @@ class TdpLimiter:
             # generator (tuning scripts, tests) draw directly. Same
             # distribution, same one-draw-per-decision ledger footprint.
             if isinstance(rng, DrawBatch):
-                dither = float(rng.take(0.0, DITHER_SIGMA_HZ))
+                dither = float(rng.take(*DITHER_ARGS))
             else:
-                dither = float(rng.normal(0.0, DITHER_SIGMA_HZ))
+                dither = float(rng.normal(*DITHER_ARGS))
             f_core = min(max(f_core + dither, self.spec.min_hz),
                          point.f_common)
         return f_core
+
+    def dither_many(self, point: OperatingPoint,
+                    draws: np.ndarray) -> np.ndarray:
+        """:meth:`dither` over a vector of drawn dithers (one per tick):
+        elementwise the same float operations, so each entry equals the
+        scalar ceiling the same draw gives."""
+        if not point.tdp_bound:
+            return np.full(len(draws), point.f_core)
+        return np.minimum(np.maximum(point.f_core + draws, self.spec.min_hz),
+                          point.f_common)
 
     @staticmethod
     def grant(point: OperatingPoint, targets_hz: dict[int, float],

@@ -115,6 +115,26 @@ class RaplBank:
         energy[RaplDomain.PACKAGE] += acc(pkg_joules, bias)
         energy[RaplDomain.DRAM] += acc(dram_joules, bias)
 
+    def pkg_dram_energy(self) -> tuple[float, float]:
+        """Accumulated (PACKAGE, DRAM) joules."""
+        energy = self._energy_j
+        return energy[RaplDomain.PACKAGE], energy[RaplDomain.DRAM]
+
+    def set_pkg_dram_energy(self, pkg_j: float, dram_j: float) -> None:
+        """Store the (PACKAGE, DRAM) sums a batch of segments reached —
+        each added left to right as :meth:`accumulate_pkg_dram` adds."""
+        energy = self._energy_j
+        energy[RaplDomain.PACKAGE] = pkg_j
+        energy[RaplDomain.DRAM] = dram_j
+
+    def latch_pkg_dram(self, pkg_j: float, dram_j: float) -> None:
+        """:meth:`refresh` at an instant the PACKAGE and DRAM domains
+        held ``pkg_j`` and ``dram_j`` (a batch latching mid-way)."""
+        self.refresh()
+        visible = self._visible_j
+        visible[RaplDomain.PACKAGE] = pkg_j
+        visible[RaplDomain.DRAM] = dram_j
+
     def refresh(self) -> None:
         """Latch accumulated energy into the visible MSR snapshot.
 

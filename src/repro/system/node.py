@@ -24,6 +24,7 @@ from repro.power.rapl import RaplDomain
 from repro.specs.node import NodeSpec, HASWELL_TEST_NODE
 from repro.system import buildhooks
 from repro.system.core import Core
+from repro.system.horizon import Horizon
 from repro.system.socket import Socket
 from repro.topology.routing import LinkDerate
 from repro.units import NS_PER_S
@@ -76,6 +77,11 @@ class Node:
         for c in cores:
             object.__setattr__(c, "_active_counter", counter)
         self._build_counter_stacks()
+        # Horizon stepping over steady PCU phases; `horizon_stats` are
+        # its write-only counters (see repro.system.horizon).
+        self.horizon = Horizon(self)
+        self.horizon_stats = self.horizon.horizon_stats
+        self.rapl_task = None       # the RAPL refresh series (build_node)
 
     def _build_counter_stacks(self) -> None:
         """Move every socket's counter matrices into node-wide stacks.
@@ -149,6 +155,45 @@ class Node:
                 f"the socket's residency cells (core column {bad}) — the "
                 "index was not refreshed")
 
+    def check_segment(self, sid: int, rates) -> None:
+        """Sanitize mode: the checks one cached-rate segment of socket
+        ``sid`` samples — the socket's recompute of its rates and the
+        node's stack mirror — for a stepper integrating many such
+        segments at once."""
+        self.sockets[sid]._check_epoch_consistency(rates)
+        self._check_rate_stack(sid, rates)
+
+    def integrates_from(self, sid: int, rates) -> bool:
+        """True when the node's stacks mirror socket ``sid``'s ``rates``
+        (the next segment would install nothing)."""
+        return self._stack_rates[sid] is rates
+
+    @property
+    def counter_stack_shape(self) -> tuple[int, int, int]:
+        """``(sockets, fields, cores)`` of the node-wide counter stack."""
+        return self._cnt_stack.shape
+
+    @property
+    def counter_stack_size(self) -> int:
+        return self._cnt_stack.size
+
+    @property
+    def counter_stack_flat(self) -> np.ndarray:
+        """The counter stack as one flat view (socket, field, core)."""
+        return self._cnt_stack.reshape(-1)
+
+    @property
+    def rate_stack_flat(self) -> np.ndarray:
+        """The installed rates, laid out like :attr:`counter_stack_flat`."""
+        return self._rate_stack.reshape(-1)
+
+    def store_counter_stack(self, values: np.ndarray, dt_ns: int) -> None:
+        """Store the counters a batch of ``dt_ns`` of installed-rate
+        segments accumulated, and advance every core's residency cell by
+        ``dt_ns`` (integer adds, so one add equals the per-segment ones)."""
+        self._cnt_stack.reshape(-1)[:] = values
+        self._res_flat[self._res_index] += dt_ns
+
     def set_fastpath(self, enabled: bool) -> None:
         """Toggle the steady-state fast path on every socket and PCU
         (A/B parity testing; both settings are bit-identical)."""
@@ -159,6 +204,8 @@ class Node:
             socket.fastpath_enabled = enabled
         for pcu in self.pcus:
             pcu.fastpath_enabled = enabled
+            pcu.held = False
+        self.horizon.on_held(False)
 
     def set_sanitize(self, enabled: bool) -> None:
         """Toggle the epoch-consistency sanitizer on every socket.
@@ -404,14 +451,25 @@ class Node:
         ac_w = self.psu.ac_power_w(dc_w)
         self.ac_energy_j += ac_w * (t1_ns - t0_ns) / NS_PER_S
 
-    def _rapl_refresh(self, _now_ns: int) -> None:
+    def _rapl_refresh(self, now_ns: int) -> None:
+        self.latch_rapl(now_ns)
+
+    def latch_rapl(self, now_ns: int,
+                   energies: list[tuple[float, float]] | None = None) -> None:
+        """The RAPL refresh at ``now_ns``: latch every socket's energy
+        into its MSR snapshot and emit the ``rapl-update`` records.
+        ``energies`` — per socket, the (package, DRAM) joules a batch
+        accumulated up to ``now_ns`` — stand in for the live values."""
         trace = self.sim.trace
         record = trace.wants("rapl-update")
         for s in self.sockets:
-            s.rapl.refresh()
+            if energies is None:
+                s.rapl.refresh()
+            else:
+                s.rapl.latch_pkg_dram(*energies[s.socket_id])
             if record:
                 trace.emit(
-                    self.sim.now_ns, f"rapl{s.socket_id}", "rapl-update",
+                    now_ns, f"rapl{s.socket_id}", "rapl-update",
                     socket=s.socket_id,
                     package=s.rapl.read_counter(RaplDomain.PACKAGE),
                     dram=s.rapl.read_counter(RaplDomain.DRAM))
@@ -472,8 +530,9 @@ def build_node(
         pcu.start()
     sim.add_integrator(node)
     if spec.cpu.rapl_update_period_ns > 0:
-        sim.schedule_every(spec.cpu.rapl_update_period_ns,
-                           node._rapl_refresh, label="rapl-refresh")
+        node.rapl_task = sim.schedule_every(
+            spec.cpu.rapl_update_period_ns, node._rapl_refresh,
+            label="rapl-refresh")
     # Initial SVID programming of the three MBVR lanes (Section II-B).
     node.mbvr.apply(SvidCommand("VCCin", 1.8))
     node.mbvr.apply(SvidCommand("VCCD_01", 1.2))

@@ -678,6 +678,44 @@ class Socket:
         self._last_dc_w = rates.dc_w
         return rates
 
+    # ---- batched segments (repro.system.horizon) --------------------------------
+
+    def steady_rates(self, any_active_in_system: bool) -> "_SegmentRates | None":
+        """The cached rates the next segment would integrate from, when
+        integrating it would resolve and recompute nothing (package state
+        synced and rates cached for this epoch); else ``None``."""
+        epoch = self.epoch.value
+        if (self.fastpath_enabled and self._rates is not None
+                and self._rates_epoch == epoch
+                and self._pkg_sync_key == (epoch, any_active_in_system)):
+            return self._rates
+        return None
+
+    def scalar_accumulators(self) -> list[float]:
+        """The scalar sums :meth:`integrate` advances: uncore L3, DRAM
+        and clock counters, package and DRAM energy, RAPL package and
+        DRAM energy."""
+        ucnt = self.uncore.counters
+        return [ucnt.l3_bytes, ucnt.dram_bytes, ucnt.uclk,
+                self.energy_pkg_j, self.energy_dram_j,
+                *self.rapl.pkg_dram_energy()]
+
+    @staticmethod
+    def scalar_rates(rates: "_SegmentRates") -> list[float]:
+        """Per-second rates of the first five :meth:`scalar_accumulators`
+        (the RAPL two follow from the energies through the backend)."""
+        return [rates.uncore_l3_rate, rates.uncore_dram_rate,
+                rates.uclk_rate, rates.pkg_w, rates.breakdown.dram_w]
+
+    def fold_segments(self, values: list[float], dt_ns: int) -> None:
+        """Store :meth:`scalar_accumulators` after ``dt_ns`` of
+        cached-rate segments integrated in one batch."""
+        ucnt = self.uncore.counters
+        (ucnt.l3_bytes, ucnt.dram_bytes, ucnt.uclk,
+         self.energy_pkg_j, self.energy_dram_j) = values[:5]
+        self.rapl.set_pkg_dram_energy(values[5], values[6])
+        self._residency_pkg_ns[self.package_cstate] += dt_ns
+
     def _check_epoch_consistency(self, cached: "_SegmentRates") -> None:
         """Sanitize mode: recompute the cached rates on a sampled segment.
 

@@ -62,7 +62,8 @@ GOOD_FIXTURES = [
 
 #: rule ids proven by the directory fixtures (archpkg) below rather
 #: than by a single-file pair.
-PROJECT_FIXTURE_RULES = {"arch-layering", "arch-cycle", "arch-sim-reach"}
+PROJECT_FIXTURE_RULES = {"arch-layering", "arch-cycle", "arch-sim-reach",
+                         "arch-sim-stats-read"}
 
 #: the layer/sim-core configuration the archpkg fixture violates.
 ARCH_CONFIG = dict(layers=[("low", ("lowpkg",)), ("high", ("highpkg",))],
@@ -132,6 +133,11 @@ class TestProjectRules:
         [reach] = by_rule["arch-sim-reach"]
         assert reach.path == "simcore/clock.py"
         assert "imports asyncio" in reach.message
+
+        # the read in steer() fires; the increment in fold() does not
+        [stats_read] = by_rule["arch-sim-stats-read"]
+        assert (stats_read.path, stats_read.line) == ("simcore/stats.py", 13)
+        assert "reads a write-only counter" in stats_read.message
 
     def test_deferred_and_type_checking_imports_are_exempt(self, tmp_path):
         (tmp_path / "lowpkg").mkdir()
