@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.pcu.epb import Epb
 from repro.units import ghz
 
@@ -58,3 +60,14 @@ class EetController:
             if abs(trim - self._trim_hz) >= TRIM_EPSILON_HZ:
                 self._trim_hz = trim
         return self._trim_hz
+
+    def first_change(self, fractions: np.ndarray, epb: Epb) -> int:
+        """Index of the first of successive polls (on these stall
+        fractions) that would move the trim — :meth:`poll`'s deadband
+        rule as one vector expression — or ``len(fractions)``."""
+        if not self.enabled:
+            return len(fractions)
+        trims = fractions * TRIM_SCALE_HZ[epb]
+        moved = (np.abs(trims - self._trim_hz)
+                 >= TRIM_EPSILON_HZ).nonzero()[0]
+        return int(moved[0]) if len(moved) else len(fractions)

@@ -264,17 +264,17 @@ class Pcu:
         event = self._tick_event
         return event is not None and not event.cancelled
 
-    def peek_ticks(self, n: int) -> tuple[np.ndarray, np.ndarray,
-                                          np.ndarray]:
+    def peek_ticks(self, n: int) -> tuple[np.ndarray, np.ndarray, int]:
         """Speculate up to ``n`` upcoming replay ticks from the buffered
         draws, consuming nothing.
 
-        Returns ``(times, holds, f_core)``: ``times`` has one entry more
-        than the others — the pending tick first, then each tick's
-        successor — ``holds[k]`` says tick ``k``'s replay writes nothing
-        (:meth:`_plan_holds` on its dithered ceiling ``f_core[k]``).
-        Fewer than ``n`` ticks come back when a draw buffer would refill
-        or retune first. Only valid while :meth:`horizon_ready`.
+        Returns ``(times, f_core, n_held)``: ``times`` has one entry
+        more than ``f_core`` — the pending tick first, then each tick's
+        successor — ``f_core[k]`` is tick ``k``'s dithered ceiling, and
+        the first ``n_held`` ticks are replays that write nothing
+        (:meth:`_plan_holds`). Fewer than ``n`` ticks come back when a
+        draw buffer would refill or retune first. Only valid while
+        :meth:`horizon_ready`.
         """
         plan = self._plan
         point = plan.point
@@ -286,24 +286,59 @@ class Pcu:
         else:
             draws = jitter
         f_core = self.limiter.dither_many(point, draws)
-        holds = np.ones(len(jitter), dtype=bool)
+        n_held = len(f_core)
         threshold = self._APPLY_THRESHOLD_HZ
         for target, freq in plan.pairs:
-            holds &= np.abs(np.minimum(target, f_core) - freq) < threshold
+            holds = np.abs(np.minimum(target, f_core) - freq) < threshold
+            if not holds.all():
+                n_held = min(n_held, int(holds.argmin()))
         quantum = self.spec.pcu_quantum_ns or us(500)
-        times = np.empty(len(jitter) + 1, dtype=np.int64)
+        times = np.empty(len(f_core) + 1, dtype=np.int64)
         times[0] = self._tick_event.time_ns
-        np.cumsum(np.maximum(quantum + jitter, 1), out=times[1:])
-        times[1:] += times[0]
-        return times, holds, f_core
+        steps = times[1:]
+        np.add(jitter, quantum, out=steps)
+        np.maximum(steps, 1, out=steps)
+        times.cumsum(out=times)
+        return times, f_core, n_held
 
-    def fold_tick(self, time_ns: int, f_core: float) -> None:
-        """Carry out one held tick a stepper folded, minus its draws and
-        its successor (:meth:`commit_draws`, :meth:`reschedule_tick`)."""
-        self.tick_count += 1
-        self._tick_times.append(time_ns)
+    def fold_ticks(self, times: np.ndarray, f_core: np.ndarray) -> None:
+        """Carry out held ticks a stepper folded (at ``times``, under the
+        dithered ceilings ``f_core``), minus their draws and successor
+        (:meth:`commit_draws`, :meth:`reschedule_tick`); the MBVR state
+        is the node's to re-select after its last folded tick."""
+        self.tick_count += len(times)
+        self._tick_times.extend(times.tolist())
         if self.socket.sanitize_enabled:
-            self._check_plan(self._plan, f_core)
+            for ceiling in f_core.tolist():
+                self._check_plan(self._plan, ceiling)
+
+    def eet_fractions(self, stall: np.ndarray,
+                      cycles: np.ndarray) -> np.ndarray:
+        """The windowed stall fractions successive polls reading these
+        totals would compute (:meth:`_stall_fraction_windowed` as one
+        vector expression, no state change)."""
+        d_stall = np.empty_like(stall)
+        d_stall[0] = stall[0] - self._eet_last_stall
+        np.subtract(stall[1:], stall[:-1], out=d_stall[1:])
+        d_cycles = np.empty_like(cycles)
+        d_cycles[0] = cycles[0] - self._eet_last_cycles
+        np.subtract(cycles[1:], cycles[:-1], out=d_cycles[1:])
+        fractions = np.zeros_like(stall)
+        live = d_cycles > 0
+        if live.all():
+            np.minimum(d_stall / d_cycles, 1.0, out=fractions)
+        else:
+            fractions[live] = np.minimum(d_stall[live] / d_cycles[live], 1.0)
+        return fractions
+
+    def eet_commit(self, stall: np.ndarray, cycles: np.ndarray,
+                   fractions: np.ndarray) -> None:
+        """Carry out successive polls of which none but the last moves
+        the trim (:meth:`EetController.first_change`)."""
+        self._eet_last_stall = float(stall[-1])
+        self._eet_last_cycles = float(cycles[-1])
+        self.eet.poll_count += len(fractions) - 1
+        self.eet.poll(float(fractions[-1]), self.epb)
 
     def commit_draws(self, n: int) -> None:
         """Consume the draws of ``n`` folded ticks, tick by tick."""

@@ -101,29 +101,96 @@ class HorizonStats:
 
 
 class _Stream:
-    """One owned event series of a batch: a PCU's ticks (``times``
-    precomputed) or a periodic series (``first + k * period``)."""
+    """One owned event series: a PCU's ticks (times speculated from its
+    draws) or a periodic series (``first + k * period``)."""
 
-    __slots__ = ("kind", "sid", "first", "seq", "period", "times",
-                 "f_core", "fired", "last")
+    __slots__ = ("kind", "sid", "first", "seq", "period", "ticks",
+                 "f_core", "times", "fired", "last")
 
     def __init__(self, kind: int, sid: int, first: int, seq: int,
-                 period: int = 0, times: np.ndarray | None = None,
+                 period: int = 0, ticks: np.ndarray | None = None,
                  f_core: np.ndarray | None = None) -> None:
         self.kind = kind
         self.sid = sid
-        self.first = first
+        self.first = first          # the pending event's time and seq
         self.seq = seq
         self.period = period
-        self.times = times
-        self.f_core = f_core
-        self.fired = 0          # events of this stream in the prefix
-        self.last = -1          # prefix index of its last fired event
+        self.ticks = ticks          # tick times, each tick's successor last
+        self.f_core = f_core        # each tick's dithered ceiling
+        self.times: np.ndarray | None = None    # candidates before the end
+        self.fired = 0              # events in the committed prefix
+        self.last = -1              # prefix position of its last event
 
-    def time(self, k: int) -> int:
-        if self.times is not None:
-            return int(self.times[k])
-        return self.first + k * self.period
+    def candidates(self, end: int) -> np.ndarray:
+        """Event times before ``end`` (at most MAX_SEGMENTS + 1: more
+        than that many of one series cannot fit under the cap)."""
+        if self.ticks is not None:
+            times = self.ticks[:np.searchsorted(self.ticks, end)]
+        elif self.first >= end:
+            times = np.empty(0, dtype=np.int64)
+        else:
+            count = min(-(-(end - self.first) // self.period),
+                        MAX_SEGMENTS + 1)
+            times = self.first + self.period * np.arange(count,
+                                                         dtype=np.int64)
+        self.times = times
+        return times
+
+    def successor(self) -> int:
+        """Time of the event after the last fired one."""
+        if self.ticks is not None:
+            return int(self.ticks[self.fired])
+        return self.first + self.fired * self.period
+
+
+def _merge(streams: list[_Stream]) -> tuple[np.ndarray, np.ndarray]:
+    """Every candidate event in firing order: ``(stream index, time)``.
+
+    The queue fires in ``(time, seq)`` order, and a fired event's
+    successor gets the next seq — after everything already queued, in
+    firing order. The periodic series share one period and phase, so
+    sorting by time with ties in pending-seq order reproduces that; a
+    tick landing on another event's exact nanosecond, or misaligned
+    series, take the general merge.
+    """
+    if len({(s.first, s.period) for s in streams if s.ticks is None}) > 1:
+        return _merge_by_rank(streams)
+    # Tie rank: the periodic series by pending seq; ticks never tie.
+    by_seq = sorted(range(len(streams)), key=lambda i: streams[i].seq)
+    rank = np.empty(len(streams), dtype=np.int64)
+    rank[by_seq] = np.arange(len(streams))
+    times = np.concatenate([s.times for s in streams])
+    index = np.repeat(np.arange(len(streams)), [len(s.times) for s in streams])
+    order = (times * len(streams) + rank[index]).argsort()
+    index = index[order]
+    times = times[order]
+    tie = times[1:] == times[:-1]
+    if tie.any():
+        is_tick = np.array([s.ticks is not None for s in streams])[index]
+        if (tie & (is_tick[1:] | is_tick[:-1])).any():
+            return _merge_by_rank(streams)
+    return index, times
+
+
+def _merge_by_rank(streams: list[_Stream]) -> tuple[np.ndarray, np.ndarray]:
+    """The general merge: replay the queue's (time, seq) order with a
+    heap, ranking each successor by its predecessor's firing."""
+    heap = [(int(s.times[0]), s.seq, i) for i, s in enumerate(streams)
+            if len(s.times)]
+    heapq.heapify(heap)
+    pos = [0] * len(streams)
+    index: list[int] = []
+    times: list[int] = []
+    rank = _RANK_BASE
+    while heap:
+        t, _, i = heapq.heappop(heap)
+        index.append(i)
+        times.append(t)
+        pos[i] += 1
+        if pos[i] < len(streams[i].times):
+            heapq.heappush(heap, (int(streams[i].times[pos[i]]), rank, i))
+        rank += 1
+    return np.array(index, dtype=np.intp), np.array(times, dtype=np.int64)
 
 
 class Horizon:
@@ -134,6 +201,9 @@ class Horizon:
         self.horizon_stats = HorizonStats()
         self._step = self.step          # the bound method installed
         self._buf: np.ndarray | None = None
+        self._cols: tuple[int, int, int] | None = None
+        # A short batch declined: nothing can fold before this time.
+        self._skip_until = -1
         self._sanitize_horizons = 0
         self.sanitize_checks = 0
 
@@ -156,6 +226,8 @@ class Horizon:
         (or decline); leaves the clock at the last folded event."""
         node = self.node
         sim = node.sim
+        if sim.now_ns < self._skip_until:
+            return
         if not node.fastpath_enabled or sim.has_fault_hooks():
             self.horizon_stats.declined += 1
             return
@@ -170,90 +242,78 @@ class Horizon:
                 return
             rates.append(socket_rates)
 
-        # The owned series and the horizon end they allow.
+        # 1. speculate: the owned series and the end each allows
         streams: list[_Stream] = []
         end = limit_ns + 1          # exclusive
         reason = "run_limit"
         for sid, pcu in enumerate(node.pcus):
-            times, holds, f_core = pcu.peek_ticks(MAX_SEGMENTS + 1)
+            ticks, f_core, n_held = pcu.peek_ticks(MAX_SEGMENTS + 1)
             tick = pcu.pending_tick
             streams.append(_Stream(_TICK, sid, tick.time_ns, tick.seq,
-                                   times=times, f_core=f_core))
-            breaks = np.flatnonzero(~holds)
-            if len(breaks):
-                stop, why = int(times[breaks[0]]), "plan_break"
-            elif len(holds) <= MAX_SEGMENTS:
-                stop, why = int(times[-1]), "draw_refill"
+                                   ticks=ticks, f_core=f_core))
+            if n_held < len(f_core):
+                why = "plan_break"
+            elif n_held <= MAX_SEGMENTS:
+                why = "draw_refill"
             else:
-                stop, why = int(times[-1]), "cap"
+                why = "cap"
+            stop = int(ticks[n_held])
             if stop < end:
                 end, reason = stop, why
-        periodic = [(_POLL, sid, pcu.eet_task)
-                    for sid, pcu in enumerate(node.pcus)]
-        periodic.append((_REFRESH, -1, node.rapl_task))
-        for kind, sid, task in periodic:
+        tasks = [(_POLL, sid, pcu.eet_task)
+                 for sid, pcu in enumerate(node.pcus)]
+        tasks.append((_REFRESH, -1, node.rapl_task))
+        for kind, sid, task in tasks:
             event = None if task is None else task.pending
             if event is not None and not event.cancelled:
                 streams.append(_Stream(kind, sid, event.time_ns, event.seq,
                                        period=task.period_ns))
         owned = tuple(pcu.pending_tick for pcu in node.pcus) + tuple(
-            node_task.pending for _, _, node_task in periodic
-            if node_task is not None)
+            task.pending for _, _, task in tasks if task is not None)
         foreign = sim.queue.first_other(owned)
         if foreign is not None and foreign[0] < end:
             end, reason = foreign[0], "foreign"
 
-        # Merge in (time, seq) order; a fired event's successor ranks
-        # after every event already queued, in firing order.
+        # 2. merge, then cap the segments
+        if sum(len(s.candidates(end)) for s in streams) == 0:
+            return
+        index, times = _merge(streams)
         now = sim.now_ns
-        heap = [(s.first, s.seq, i) for i, s in enumerate(streams)
-                if s.first < end]
-        if not heap:
-            return
-        heapq.heapify(heap)
-        order: list[int] = []       # stream index per folded event
-        rows: list[int] = []        # accumulated row each event reads
-        seg_times: list[int] = []   # segment end times
-        last_t = now
-        rank = _RANK_BASE
-        while heap:
-            t, _, i = heapq.heappop(heap)
-            if t != last_t:
-                if len(seg_times) == MAX_SEGMENTS:
-                    end, reason = t, "cap"
-                    break
-                seg_times.append(t)
-                last_t = t
-            order.append(i)
-            rows.append(len(seg_times))
-            stream = streams[i]
-            stream.fired += 1
-            nxt = stream.time(stream.fired)
-            if nxt < end:
-                heapq.heappush(heap, (nxt, rank, i))
-            rank += 1
-        if len(order) < MIN_FOLD_EVENTS:
+        new_segment = np.empty(len(times), dtype=bool)
+        new_segment[0] = times[0] != now
+        np.not_equal(times[1:], times[:-1], out=new_segment[1:])
+        rows = new_segment.cumsum()
+        if rows[-1] > MAX_SEGMENTS:
+            cut = int(rows.searchsorted(MAX_SEGMENTS, side="right"))
+            index, times, rows = index[:cut], times[:cut], rows[:cut]
+            new_segment = new_segment[:cut]
+            reason = "cap"
+        if len(index) < MIN_FOLD_EVENTS:
+            # Until the event that ends this batch fires, a later call
+            # can only find the same end or an earlier one.
             self.horizon_stats.declined += 1
+            self._skip_until = min(end, limit_ns)
             return
-        for stream in streams:
-            stream.fired = 0
+        seg_times = times[new_segment]
 
+        # 3. accumulate; 4. walk; 5. commit
         sanitized = any(s.sanitize_enabled for s in node.sockets)
         if sanitized:
             for sid, socket_rates in enumerate(rates):
                 node.check_segment(sid, socket_rates)
         acc = self._accumulate(now, seg_times, rates)
-        committed, t_last, reason = self._walk(
-            streams, order, rows, seg_times, now, acc, reason)
-        r_last = rows[committed - 1]
-        self._commit(streams, order[:committed], acc, r_last, t_last - now)
+        committed, reason = self._walk(streams, index, rows, times, acc,
+                                       reason)
+        row = int(rows[committed - 1])
+        t_last = int(times[committed - 1])
+        self._commit(streams, acc, row, t_last - now)
         if sanitized:
-            self._check(acc, r_last, now, seg_times, rates)
+            self._check(acc, row, now, seg_times, rates)
         sim.now_ns = t_last
 
         stats = self.horizon_stats
         stats.taken += 1
-        stats.segments += r_last
+        stats.segments += row
         for stream in streams:
             if stream.kind == _TICK:
                 stats.ticks += stream.fired
@@ -277,14 +337,17 @@ class Horizon:
     # ---- accumulate -------------------------------------------------------------
 
     def _columns(self) -> tuple[int, int, int]:
-        """(counter-stack columns, first RAPL column, wall-energy column)."""
-        node = self.node
-        n_stack = node.counter_stack_size
-        n_sockets = len(node.sockets)
-        rated_end = n_stack + _N_RATED * n_sockets
-        return n_stack, rated_end, rated_end + 2 * n_sockets
+        """(counter-stack columns, first RAPL column, wall-energy column)
+        of the accumulate buffer."""
+        if self._cols is None:
+            node = self.node
+            n_stack = node.counter_stack_size
+            rated_end = n_stack + _N_RATED * len(node.sockets)
+            self._cols = (n_stack, rated_end,
+                          rated_end + 2 * len(node.sockets))
+        return self._cols
 
-    def _accumulate(self, now: int, seg_times: list[int],
+    def _accumulate(self, now: int, seg_times: np.ndarray,
                     rates: list) -> np.ndarray:
         """Rows ``0..K`` of every accumulator after ``0..K`` segments:
         row 0 the live values, row ``k`` the ``k``-th per-segment sum."""
@@ -295,7 +358,9 @@ class Horizon:
             buf = self._buf = np.empty((MAX_SEGMENTS + 1, ac_col + 1))
         k = len(seg_times)
         acc = buf[:k + 1]
-        dt_ns = np.diff(np.array([now, *seg_times], dtype=np.int64))
+        dt_ns = np.empty_like(seg_times)
+        dt_ns[0] = seg_times[0] - now
+        np.subtract(seg_times[1:], seg_times[:-1], out=dt_ns[1:])
         dt_s = dt_ns / NS_PER_S
 
         # Row 0: the live accumulators.
@@ -334,52 +399,84 @@ class Horizon:
 
     # ---- the ordered walk -----------------------------------------------------
 
-    def _walk(self, streams: list[_Stream], order: list[int],
-              rows: list[int], seg_times: list[int], now: int,
-              acc: np.ndarray, reason: str) -> tuple[int, int, str]:
-        """Carry out the folded events in order; returns how many are
-        committed, the time of the last one and the stop reason."""
+    def _walk(self, streams: list[_Stream], index: np.ndarray,
+              rows: np.ndarray, times: np.ndarray, acc: np.ndarray,
+              reason: str) -> tuple[int, str]:
+        """Carry out the folded events in firing order; returns how many
+        are committed and the stop reason.
+
+        Each EET poll reads the stall and unhalted-cycle sums of the
+        accumulated row at its time (row sums over a contiguous gather,
+        equal to the per-row ``.sum()``); the prefix ends right after
+        the first poll that moves the trim.
+        """
         node = self.node
         pcus = node.pcus
-        n_stack, rapl0, _ = self._columns()
         n_fields, n_cores = node.counter_stack_shape[1:]
-        stall_row = FIELD_ROW["stall_cycles"]
-        aperf_row = FIELD_ROW["aperf"]
+        committed = len(index)
+        polls = []
+        for i, stream in enumerate(streams):
+            if stream.kind != _POLL:
+                continue
+            at = (index == i).nonzero()[0]
+            base = stream.sid * n_fields
+            lo = (base + FIELD_ROW["stall_cycles"]) * n_cores
+            stall = acc[rows[at], lo:lo + n_cores].sum(axis=1)
+            lo = (base + FIELD_ROW["aperf"]) * n_cores
+            cycles = acc[rows[at], lo:lo + n_cores].sum(axis=1)
+            pcu = pcus[stream.sid]
+            fractions = pcu.eet_fractions(stall, cycles)
+            moved = pcu.eet.first_change(fractions, pcu.epb)
+            if moved < len(at) and at[moved] + 1 <= committed:
+                committed, reason = int(at[moved]) + 1, "trim_change"
+            polls.append((pcu, at, stall, cycles, fractions))
+        for pcu, at, stall, cycles, fractions in polls:
+            n = int(np.searchsorted(at, committed))
+            if n:
+                pcu.eet_commit(stall[:n], cycles[:n], fractions[:n])
+
+        index = index[:committed]
         ledgered = any(pcu.draws_ledgered for pcu in pcus)
-        committed = len(order)
-        times = [now, *seg_times]
-        for index, i in enumerate(order):
-            stream = streams[i]
-            k = stream.fired
-            stream.fired = k + 1
-            stream.last = index
-            row = rows[index]
-            if stream.kind == _TICK:
-                pcu = pcus[stream.sid]
-                pcu.fold_tick(int(stream.times[k]), stream.f_core[k])
-                if ledgered:
-                    pcu.commit_draws(1)
-            elif stream.kind == _POLL:
-                base = stream.sid * n_fields
-                lo = (base + stall_row) * n_cores
-                stall = float(acc[row, lo:lo + n_cores].sum())
-                lo = (base + aperf_row) * n_cores
-                cycles = float(acc[row, lo:lo + n_cores].sum())
-                if pcus[stream.sid].eet_sample(stall, cycles):
-                    committed, reason = index + 1, "trim_change"
-                    break
-            else:
-                energies = [
-                    (float(acc[row, rapl0 + 2 * sid]),
-                     float(acc[row, rapl0 + 2 * sid + 1]))
-                    for sid in range(len(node.sockets))]
-                node.latch_rapl(times[row], energies)
-        return committed, times[rows[committed - 1]], reason
+        for i, stream in enumerate(streams):
+            at = (index == i).nonzero()[0]
+            stream.fired = len(at)
+            stream.last = int(at[-1]) if len(at) else -1
+            if stream.kind == _TICK and stream.fired:
+                pcus[stream.sid].fold_ticks(stream.ticks[:stream.fired],
+                                            stream.f_core[:stream.fired])
+                if not ledgered:
+                    pcus[stream.sid].commit_draws(stream.fired)
+            elif stream.kind == _REFRESH and stream.fired:
+                # Only the last latch survives; every refresh still
+                # emits its record when the trace wants them.
+                latch = at if node.sim.trace.wants("rapl-update") \
+                    else at[-1:]
+                self._latch(acc, rows[latch], times[latch])
+        if ledgered:
+            # One draw record per tick, across sockets in firing order.
+            for i in index.tolist():
+                if streams[i].kind == _TICK:
+                    pcus[streams[i].sid].commit_draws(1)
+        return committed, reason
+
+    def _latch(self, acc: np.ndarray, rows: np.ndarray,
+               times: np.ndarray) -> None:
+        """RAPL refreshes at ``times``, from the accumulated ``rows``."""
+        node = self.node
+        _, rapl0, _ = self._columns()
+        n_sockets = len(node.sockets)
+        for row, t in zip(rows.tolist(), times.tolist()):
+            energy = acc[row, rapl0:rapl0 + 2 * n_sockets].tolist()
+            node.latch_rapl(t, [(energy[2 * sid], energy[2 * sid + 1])
+                                for sid in range(n_sockets)])
 
     # ---- commit -----------------------------------------------------------------
 
-    def _commit(self, streams: list[_Stream], order: list[int],
-                acc: np.ndarray, row: int, dt_ns: int) -> None:
+    def _commit(self, streams: list[_Stream], acc: np.ndarray, row: int,
+                dt_ns: int) -> None:
+        """Store the accumulators at ``row``, re-select the MBVR state as
+        the last folded tick did, and push the successors of the fired
+        events in the order their predecessors fired."""
         node = self.node
         pcus = node.pcus
         n_stack, rapl0, ac_col = self._columns()
@@ -392,31 +489,22 @@ class Horizon:
                 + values[rapl0 + 2 * sid:rapl0 + 2 * sid + 2], dt_ns)
         node.ac_energy_j = values[ac_col]
 
-        ledgered = any(pcu.draws_ledgered for pcu in pcus)
-        last_tick = None
-        for stream in streams:
-            if stream.kind == _TICK and stream.fired:
-                if not ledgered:
-                    pcus[stream.sid].commit_draws(stream.fired)
-                if last_tick is None or stream.last > last_tick.last:
-                    last_tick = stream
-        if last_tick is not None:
-            pcus[last_tick.sid].select_mbvr_state()
-        # Successors, in the order their predecessors fired.
-        for stream in sorted((s for s in streams if s.fired),
-                             key=lambda s: s.last):
+        fired = sorted((s for s in streams if s.fired), key=lambda s: s.last)
+        ticks = [s for s in fired if s.kind == _TICK]
+        if ticks:
+            pcus[ticks[-1].sid].select_mbvr_state()
+        for stream in fired:
             if stream.kind == _TICK:
-                pcus[stream.sid].reschedule_tick(
-                    int(stream.times[stream.fired]))
+                pcus[stream.sid].reschedule_tick(stream.successor())
             else:
                 task = (node.rapl_task if stream.kind == _REFRESH
                         else pcus[stream.sid].eet_task)
-                task.fast_forward(stream.time(stream.fired - 1))
+                task.fast_forward(stream.successor() - stream.period)
 
     # ---- sanitize ---------------------------------------------------------------
 
     def _check(self, acc: np.ndarray, row: int, now: int,
-               seg_times: list[int], rates: list) -> None:
+               seg_times: np.ndarray, rates: list) -> None:
         """Sanitize mode: on every ``EPOCH_CHECK_STRIDE``-th horizon,
         recompute the committed accumulators from the sockets' cached
         rates with a scalar left-to-right loop over the segments.
@@ -433,7 +521,7 @@ class Horizon:
         node = self.node
         n_stack, rapl0, ac_col = self._columns()
         n_fields, n_cores = node.counter_stack_shape[1:]
-        times = [now, *seg_times[:row]]
+        times = [now, *seg_times[:row].tolist()]
         dts = [(t1 - t0) for t0, t1 in zip(times, times[1:])]
         start = acc[0].tolist()
         got = acc[row].tolist()
