@@ -31,9 +31,13 @@ from repro.conformance.recorder import event_line
 from repro.conformance.replay import check_schema_compat
 from repro.conformance.schema import EVENT_SCHEMAS, compute_digest
 from repro.errors import ConformanceError, TraceSchemaError
+from repro.system import buildhooks
 from repro.units import ms
 
 GOLDEN = Path(__file__).parent / "golden" / "scenario_default.trace.jsonl"
+#: Share of the steady-tdp golden's PCU ticks folded by horizon stepping
+#: must clear this floor (measured share in docs/performance.md).
+STEADY_TDP_FOLDED_TICKS_FLOOR = 0.6
 STEADY_TDP_GOLDEN = (Path(__file__).parent / "golden"
                      / "scenario_steady_tdp.trace.jsonl")
 
@@ -140,6 +144,28 @@ class TestSteadyTdpGolden:
         trace = Trace.from_jsonl(STEADY_TDP_GOLDEN.read_text())
         applied = {e.payload["core_id"] for e in trace.of_kind("freq-apply")}
         assert applied == set(range(24))
+
+    def test_replay_folds_most_ticks_into_horizons(self):
+        """The byte-identical replay above runs through horizon
+        stepping: most PCU ticks (0.78 when recorded, see
+        docs/performance.md) are folded into batches, and so are the
+        EET polls and the RAPL refreshes whose records the trace pins."""
+        nodes = []
+
+        def capture(_sim, node):
+            nodes.append(node)
+
+        buildhooks.register(capture)
+        try:
+            record(trace_manifest(
+                Trace.from_jsonl(STEADY_TDP_GOLDEN.read_text())))
+        finally:
+            buildhooks.unregister(capture)
+        [node] = nodes
+        stats = node.horizon_stats
+        ticks = sum(p.tick_count for p in node.pcus)
+        assert stats.ticks / ticks >= STEADY_TDP_FOLDED_TICKS_FLOOR
+        assert stats.polls > 0 and stats.refreshes > 0
 
 
 def trace_manifest(trace: Trace):

@@ -136,7 +136,7 @@ class TestProjectRules:
 
         # the read in steer() fires; the increment in fold() does not
         [stats_read] = by_rule["arch-sim-stats-read"]
-        assert (stats_read.path, stats_read.line) == ("simcore/stats.py", 13)
+        assert (stats_read.path, stats_read.line) == ("simcore/stats.py", 12)
         assert "reads a write-only counter" in stats_read.message
 
     def test_deferred_and_type_checking_imports_are_exempt(self, tmp_path):

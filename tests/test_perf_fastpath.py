@@ -14,22 +14,34 @@ Three properties guard the optimization (docs/performance.md):
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cstates.states import CState, PackageCState
 from repro.engine import fastpath as fastpath_mod
+from repro.engine import sanitize
 from repro.engine.simulator import Simulator
 from repro.experiments import ExperimentRunner, ExperimentSpec
 from repro.experiments.table5_max_power import run_table5
 from repro.faults import chaos
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.instruments.lmg450 import Lmg450
 from repro.pcu import Epb
-from repro.pcu.turbo import TdpLimiter
+from repro.pcu import pcu as pcu_mod
+from repro.pcu.turbo import DITHER_ARGS, TdpLimiter
 from repro.specs.node import HASWELL_TEST_NODE, SANDY_BRIDGE_TEST_NODE
 from repro.system import buildhooks
 from repro.system.core import AvxLicense
+from repro.system import horizon as horizon_mod
 from repro.system.node import Node, build_haswell_node, build_node
 from repro.units import NS_PER_S, ms, us
 from repro.workloads.firestarter import firestarter
+from repro.workloads.mprime import mprime
 from repro.workloads import micro
 from repro.workloads.base import Workload, WorkloadPhase
 
@@ -312,6 +324,237 @@ class TestLongWindowParity:
         pcu = node.pcus[0]
         assert pcu.tick_count > pcu._tick_times.maxlen
         assert len(pcu._tick_times) == pcu._tick_times.maxlen
+
+
+# ---- 2c. horizon stepping ---------------------------------------------------
+# With the fast path on, a node whose PCUs are both held folds its ticks,
+# EET polls and RAPL refreshes into batches (repro.system.horizon); the
+# fast-path-off run is the per-event reference. Each case drives one
+# stop reason and compares the whole observable state bit for bit: the
+# surface, every PCU's tick/EET/draw state, the RAPL MSR snapshot, the
+# MBVR state and the queued events in firing order.
+
+
+def _stepping_state(sim: Simulator, node: Node) -> dict:
+    out = _surface(node)
+    out["now"] = sim.now_ns
+    out["mbvr"] = node.mbvr.power_state
+    for p in node.pcus:
+        spread = pcu_mod.TICK_JITTER_NS + p.extra_tick_jitter_ns
+        out[f"pcu{p.socket.socket_id}"] = (
+            p.tick_count, list(p._tick_times), p.eet.poll_count,
+            p.eet.trim_hz, p._eet_last_stall, p._eet_last_cycles,
+            sanitize.unwrap_rng(p.rng).bit_generator.state,
+            p._jitter_batch.peek(256, -spread, spread + 1).tolist(),
+            p._dither_batch.peek(256, *DITHER_ARGS).tolist())
+        out[f"s{p.socket.socket_id}-msr"] = [
+            p.socket.rapl.read_counter(d) for d in p.socket.rapl._energy_j]
+    live = sorted((t, seq, ev.label) for t, seq, ev in sim.queue._heap
+                  if not ev.cancelled)
+    out["queue"] = [(t, label) for t, _, label in live]
+    return out
+
+
+def _stepping_pair(drive, epb: Epb = Epb.BALANCED, workload=None,
+                   seed: int = 5150) -> tuple[dict, dict, Node]:
+    """``drive(sim, node)`` on a fast-path node and on a fast-path-off
+    node; returns both states (plus what ``drive`` returned) and the
+    stepping node."""
+    runs = []
+    for fast in (True, False):
+        sim = Simulator(seed=seed)
+        node = build_node(sim, HASWELL_TEST_NODE, epb=epb)
+        node.set_fastpath(fast)
+        node.run_workload([c.core_id for c in node.all_cores],
+                          workload if workload is not None else firestarter())
+        extra = drive(sim, node)
+        state = _stepping_state(sim, node)
+        state["drive"] = extra
+        runs.append((state, node))
+    (fast_state, fast_node), (slow_state, _) = runs
+    return fast_state, slow_state, fast_node
+
+
+def _assert_parity(fast: dict, slow: dict) -> None:
+    assert not _mismatches(fast, slow), \
+        f"stepping diverged on {_mismatches(fast, slow)}"
+
+
+class TestHorizonStepping:
+    def test_run_limit_mid_horizon_at_odd_ns(self):
+        def drive(sim, node):
+            sim.run_for(ms(60))
+            sim.run_for(ms(37) + 12_345)
+            sim.run_for(777_777)
+            sim.run_for(ms(20) + 1)
+        fast, slow, node = _stepping_pair(drive)
+        _assert_parity(fast, slow)
+        assert fast["now"] % 2 == 1
+        assert node.horizon_stats.stop_run_limit >= 3
+
+    def test_lmg450_sample_mid_horizon(self):
+        def drive(sim, node):
+            sim.run_for(ms(60))
+            meter = Lmg450(sim, node)
+            meter.start()
+            sim.run_for(ms(260))
+            meter.stop()
+            return list(meter.watts)
+        fast, slow, node = _stepping_pair(drive)
+        _assert_parity(fast, slow)
+        assert len(fast["drive"]) == 5
+        assert node.horizon_stats.stop_foreign >= 4
+
+    def test_eet_trim_change(self):
+        """mprime under EPB powersave, its stall fraction alternating
+        between two 20 ms phases of equal power: the grants hold across
+        a phase switch, so the nodes are held again before the first
+        poll whose window sees the new phase moves the trim."""
+        phase = mprime(phase_s=0.02).phases[0]
+        workload = Workload(name="mprime-stall", cyclic=True, phases=(
+            phase, dataclasses.replace(phase, name="mprime_stall",
+                                       stall_fraction=0.45)))
+
+        def drive(sim, node):
+            sim.run_for(ms(400))
+        fast, slow, node = _stepping_pair(drive, epb=Epb.POWERSAVE,
+                                          workload=workload)
+        _assert_parity(fast, slow)
+        assert node.horizon_stats.stop_trim_change > 0
+
+    def test_draw_refill_in_a_long_settle_window(self):
+        def drive(sim, node):
+            sim.run_for(ms(400))     # > 256 ticks = one 128 ms buffer
+        fast, slow, node = _stepping_pair(drive)
+        _assert_parity(fast, slow)
+        stats = node.horizon_stats
+        assert stats.stop_draw_refill > 0
+        assert stats.stop_plan_break > 0 and stats.stop_cap > 0
+        ticks = sum(p.tick_count for p in node.pcus)
+        assert stats.ticks > ticks // 2
+        assert stats.polls > 0 and stats.refreshes > 0
+        assert stats.segments > stats.taken
+
+    def test_knob_writes_between_windows(self):
+        def drive(sim, node):
+            sim.run_for(ms(150))
+            node.set_epb(Epb.PERFORMANCE)
+            sim.run_for(ms(100))
+            for p in node.pcus:
+                p.limiter.budget_w = p.spec.tdp_w - 10.0
+            sim.run_for(ms(100))
+            node.set_epb(Epb.BALANCED, socket_ids=[1])
+            sim.run_for(ms(100) + 3)
+        fast, slow, node = _stepping_pair(drive)
+        _assert_parity(fast, slow)
+        assert node.horizon_stats.taken > 0
+
+    def test_chaos_armed_node_declines(self):
+        """While a fault hook is registered (here an LMG450 dropout
+        window) the stepper declines every offer; outside it, it steps."""
+        window = (ms(100), ms(200))
+        plan = FaultPlan(seed=1, horizon_ns=ms(400), events=(
+            FaultEvent(window[0], FaultKind.LMG_DROPOUT,
+                       (("duration_ns", window[1] - window[0]),)),))
+
+        def drive(sim, node):
+            FaultInjector(sim, node, plan).arm()
+            meter = Lmg450(sim, node)
+            meter.start()
+            sim.run_for(window[0] + ms(1))
+            stats = node.horizon_stats
+            marks = (stats.taken, stats.declined)
+            sim.run_for(ms(98))      # inside the window
+            during = (stats.taken - marks[0], stats.declined - marks[1])
+            sim.run_for(ms(200))
+            meter.stop()
+            return during, list(meter.watts)
+        fast, slow, node = _stepping_pair(drive)
+        (taken, declined), _ = fast["drive"]
+        assert taken == 0 and declined > 0
+        fast["drive"] = fast["drive"][1]
+        slow["drive"] = slow["drive"][1]
+        _assert_parity(fast, slow)
+        assert node.horizon_stats.taken > 0
+
+    def test_phase_churn_never_arms(self):
+        sim, node = build_haswell_node(seed=5153)
+        node.run_workload([c.core_id for c in node.all_cores],
+                          micro.tick_heavy())
+        sim.run_for(ms(100))
+        stats = node.horizon_stats
+        assert stats.taken == stats.declined == 0
+        assert sim.stepper is None
+
+
+class TestBatchedAccumulate:
+    """One batch over random segment lengths equals the same segments
+    integrated one ``Node.integrate`` call at a time, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def settled(self):
+        sim, node = build_haswell_node(seed=5154)
+        node.run_workload([c.core_id for c in node.all_cores], firestarter())
+        sim.run_for(ms(60))
+        any_active = node.any_core_active()
+        rates = [s.steady_rates(any_active) for s in node.sockets]
+        assert all(r is not None and node.integrates_from(sid, r)
+                   for sid, r in enumerate(rates))
+        return sim, node, rates
+
+    @staticmethod
+    def _save(node: Node):
+        return (node._cnt_stack.copy(), node._res_stack.copy(),
+                node.ac_energy_j,
+                [(s.scalar_accumulators(), dict(s._residency_pkg_ns))
+                 for s in node.sockets])
+
+    @staticmethod
+    def _restore(node: Node, saved) -> None:
+        cnt, res, ac, sockets = saved
+        node._cnt_stack[...] = cnt
+        node._res_stack[...] = res
+        node.ac_energy_j = ac
+        for s, (values, pkg) in zip(node.sockets, sockets):
+            s.fold_segments(values, 0)
+            s._residency_pkg_ns.clear()
+            s._residency_pkg_ns.update(pkg)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.integers(1, 3_000_000), min_size=1,
+                    max_size=horizon_mod.MAX_SEGMENTS))
+    def test_batch_equals_sequential_integrate(self, settled, lengths):
+        sim, node, rates = settled
+        saved = self._save(node)
+        now = sim.now_ns
+        seg_times = now + np.cumsum(np.array(lengths, dtype=np.int64))
+        t0 = now
+        for t1 in seg_times.tolist():
+            node.integrate(t0, t1)
+            t0 = t1
+        sequential = _surface(node)
+        self._restore(node, saved)
+        horizon = node.horizon
+        acc = horizon._accumulate(now, seg_times, rates)
+        horizon._commit([], acc, len(lengths), int(seg_times[-1]) - now)
+        batched = _surface(node)
+        self._restore(node, saved)
+        assert not _mismatches(batched, sequential)
+
+    def test_row_sums_equal_per_row_sums(self):
+        """EET polls read their stall sums as row sums of a gather; on
+        contiguous float64 rows that is the per-row ``.sum()``."""
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            rows, cols = rng.integers(1, 120), rng.integers(1, 30)
+            data = np.cumsum(rng.random((rows, cols))
+                             * 10.0 ** rng.integers(-3, 12), axis=0)
+            pick = rng.integers(0, rows, size=rng.integers(1, 40))
+            lo = rng.integers(0, cols)
+            gathered = data[pick, lo:cols].sum(axis=1)
+            assert np.array_equal(
+                gathered, [data[r, lo:cols].sum() for r in pick])
 
 
 # ---- 3. parallel suite parity ----------------------------------------------

@@ -7,7 +7,9 @@ from repro.engine import sanitize
 from repro.engine.rng import make_rng, spawn_rng
 from repro.engine.simulator import Simulator
 from repro.errors import EpochConsistencyError, SanitizeError
-from repro.system.node import build_haswell_node
+from repro.specs.node import HASWELL_TEST_NODE
+from repro.system.counters import FIELD_ROW
+from repro.system.node import Node, build_haswell_node, build_node
 from repro.system.socket import Socket
 from repro.units import ms
 from repro.workloads import micro
@@ -199,6 +201,47 @@ class TestEpochChecker:
                            match=r"socket 0: the node's residency index"
                                  r" .* \(core column 2\)"):
             sim.run_for(ms(5))
+
+    def test_clean_run_passes_horizon_checks(self, sanitize_mode):
+        sim, node = self._steady_node(seed=416)
+        sim.run_for(ms(300))
+        assert node.horizon_stats.taken > 0
+        assert node.horizon.sanitize_checks > 0
+
+    def test_corrupt_rate_caught_by_horizon_check(self, sanitize_mode,
+                                                  monkeypatch):
+        """A horizon recomputes its committed accumulators with a scalar
+        left-to-right loop over the sockets' cached rates; one rate
+        corrupted in place in the stack the batch multiplies is caught
+        there (the segment-level checks are off, so this one fires)."""
+        monkeypatch.setattr(sanitize, "EPOCH_CHECK_STRIDE", 1)
+        monkeypatch.setattr(Socket, "_check_epoch_consistency",
+                            lambda self, cached: None)
+        monkeypatch.setattr(Node, "_check_rate_stack",
+                            lambda self, sid, rates: None)
+        sim, node = self._steady_node(seed=417)
+        node._rate_stack[0, FIELD_ROW["instructions_core"], 3] *= 1.0 + 1e-9
+        with pytest.raises(EpochConsistencyError,
+                           match="horizon at t=.* batched accumulator"):
+            sim.run_for(ms(300))
+
+    def test_stepping_ledger_equals_fastpath_off_ledger(self, sanitize_mode):
+        """Folding ticks consumes the same draws from the same sites in
+        the same order: the ledgers of a stepping run and of the
+        per-event reference are identical."""
+        ledgers = []
+        for fast in (True, False):
+            sim = Simulator(seed=418)
+            node = build_node(sim, HASWELL_TEST_NODE)
+            node.set_fastpath(fast)
+            node.run_workload([c.core_id for c in node.all_cores],
+                              firestarter())
+            sim.run_for(ms(300))
+            ledgers.append((sim.ledger, node.horizon_stats.taken))
+        (stepped, taken), (reference, _) = ledgers
+        assert taken > 0
+        assert stepped.total_draws > 1000
+        assert stepped.diff(reference) is None
 
     def test_sanctioned_write_is_not_flagged(self, sanitize_mode):
         sim, node = build_haswell_node(seed=407)
