@@ -75,6 +75,9 @@ _TICK, _POLL, _REFRESH = 0, 1, 2
 _N_RATED = 5
 # Successor rank base: above every seq the event queue hands out here.
 _RANK_BASE = 1 << 62
+# An EET poll sums the aperf and stall rows of its socket's counters.
+_ROW_APERF = FIELD_ROW["aperf"]
+_ROW_STALL = FIELD_ROW["stall_cycles"]
 
 
 @dataclass
@@ -104,37 +107,30 @@ class _Stream:
     """One owned event series: a PCU's ticks (times speculated from its
     draws) or a periodic series (``first + k * period``)."""
 
-    __slots__ = ("kind", "sid", "first", "seq", "period", "ticks",
-                 "f_core", "times", "fired", "last")
+    __slots__ = ("kind", "sid", "event", "task", "first", "period", "ticks",
+                 "f_core", "count", "at", "fired")
 
-    def __init__(self, kind: int, sid: int, first: int, seq: int,
-                 period: int = 0, ticks: np.ndarray | None = None,
+    def __init__(self, kind: int, sid: int, event, task=None,
+                 ticks: np.ndarray | None = None,
                  f_core: np.ndarray | None = None) -> None:
         self.kind = kind
         self.sid = sid
-        self.first = first          # the pending event's time and seq
-        self.seq = seq
-        self.period = period
+        self.event = event          # the pending event's handle
+        self.task = task            # the periodic series' RepeatingEvent
+        self.first = event.time_ns
+        self.period = 0 if task is None else task.period_ns
         self.ticks = ticks          # tick times, each tick's successor last
         self.f_core = f_core        # each tick's dithered ceiling
-        self.times: np.ndarray | None = None    # candidates before the end
+        self.count = 0              # candidate events before the end
+        self.at: np.ndarray | None = None   # their positions, firing order
         self.fired = 0              # events in the committed prefix
-        self.last = -1              # prefix position of its last event
 
-    def candidates(self, end: int) -> np.ndarray:
-        """Event times before ``end`` (at most MAX_SEGMENTS + 1: more
-        than that many of one series cannot fit under the cap)."""
+    def times(self) -> np.ndarray:
+        """The candidate event times."""
         if self.ticks is not None:
-            times = self.ticks[:np.searchsorted(self.ticks, end)]
-        elif self.first >= end:
-            times = np.empty(0, dtype=np.int64)
-        else:
-            count = min(-(-(end - self.first) // self.period),
-                        MAX_SEGMENTS + 1)
-            times = self.first + self.period * np.arange(count,
-                                                         dtype=np.int64)
-        self.times = times
-        return times
+            return self.ticks[:self.count]
+        return self.first + self.period * np.arange(self.count,
+                                                    dtype=np.int64)
 
     def successor(self) -> int:
         """Time of the event after the last fired one."""
@@ -143,31 +139,46 @@ class _Stream:
         return self.first + self.fired * self.period
 
 
-def _merge(streams: list[_Stream]) -> tuple[np.ndarray, np.ndarray]:
-    """Every candidate event in firing order: ``(stream index, time)``.
+def _merge(streams: list[_Stream], end: int) -> tuple[np.ndarray,
+                                                     np.ndarray] | None:
+    """Every owned event before ``end`` in firing order, as ``(stream
+    index, time)`` arrays; None when there is none.
 
     The queue fires in ``(time, seq)`` order, and a fired event's
     successor gets the next seq — after everything already queued, in
-    firing order. The periodic series share one period and phase, so
-    sorting by time with ties in pending-seq order reproduces that; a
-    tick landing on another event's exact nanosecond, or misaligned
-    series, take the general merge.
+    firing order. The periodic series share one period and phase and
+    come in pending-seq order, so one sort of ``time * n + index``
+    reproduces that; a tick on another event's exact nanosecond, or
+    misaligned series, take the general merge.
     """
-    if len({(s.first, s.period) for s in streams if s.ticks is None}) > 1:
+    n = len(streams)
+    keys = []
+    for i, stream in enumerate(streams):
+        if stream.ticks is not None:
+            ticks = stream.ticks[:stream.ticks.searchsorted(end)]
+            stream.count = len(ticks)
+            keys.append(ticks * n + i)
+        elif stream.first < end:
+            count = min(-(-(end - stream.first) // stream.period),
+                        MAX_SEGMENTS + 1)
+            stream.count = count
+            key0, step = stream.first * n + i, stream.period * n
+            keys.append(np.arange(key0, key0 + count * step, step))
+    if not keys:
+        return None
+    periodic = {(s.first, s.period) for s in streams if s.ticks is None}
+    keys = np.concatenate(keys)
+    if not len(keys):
+        return None
+    if len(periodic) > 1:
         return _merge_by_rank(streams)
-    # Tie rank: the periodic series by pending seq; ticks never tie.
-    by_seq = sorted(range(len(streams)), key=lambda i: streams[i].seq)
-    rank = np.empty(len(streams), dtype=np.int64)
-    rank[by_seq] = np.arange(len(streams))
-    times = np.concatenate([s.times for s in streams])
-    index = np.repeat(np.arange(len(streams)), [len(s.times) for s in streams])
-    order = (times * len(streams) + rank[index]).argsort()
-    index = index[order]
-    times = times[order]
+    keys.sort()
+    times, index = np.divmod(keys, n)
     tie = times[1:] == times[:-1]
     if tie.any():
-        is_tick = np.array([s.ticks is not None for s in streams])[index]
-        if (tie & (is_tick[1:] | is_tick[:-1])).any():
+        n_ticks = sum(1 for s in streams if s.ticks is not None)
+        if (index[:-1][tie] < n_ticks).any() \
+                or (index[1:][tie] < n_ticks).any():
             return _merge_by_rank(streams)
     return index, times
 
@@ -175,8 +186,9 @@ def _merge(streams: list[_Stream]) -> tuple[np.ndarray, np.ndarray]:
 def _merge_by_rank(streams: list[_Stream]) -> tuple[np.ndarray, np.ndarray]:
     """The general merge: replay the queue's (time, seq) order with a
     heap, ranking each successor by its predecessor's firing."""
-    heap = [(int(s.times[0]), s.seq, i) for i, s in enumerate(streams)
-            if len(s.times)]
+    times_of = [s.times().tolist() for s in streams]
+    heap = [(t[0], s.event.seq, i)
+            for i, (s, t) in enumerate(zip(streams, times_of)) if t]
     heapq.heapify(heap)
     pos = [0] * len(streams)
     index: list[int] = []
@@ -187,8 +199,8 @@ def _merge_by_rank(streams: list[_Stream]) -> tuple[np.ndarray, np.ndarray]:
         index.append(i)
         times.append(t)
         pos[i] += 1
-        if pos[i] < len(streams[i].times):
-            heapq.heappush(heap, (int(streams[i].times[pos[i]]), rank, i))
+        if pos[i] < len(times_of[i]):
+            heapq.heappush(heap, (times_of[i][pos[i]], rank, i))
         rank += 1
     return np.array(index, dtype=np.intp), np.array(times, dtype=np.int64)
 
@@ -200,8 +212,22 @@ class Horizon:
         self.node = node
         self.horizon_stats = HorizonStats()
         self._step = self.step          # the bound method installed
-        self._buf: np.ndarray | None = None
-        self._cols: tuple[int, int, int] | None = None
+        n_sockets = len(node.sockets)
+        n_fields, n_cores = node.counter_stack_shape[1:]
+        n_stack = node.counter_stack_size
+        # Accumulate buffer columns: the counter stack, each socket's
+        # five rated scalars, each socket's RAPL pair, wall energy.
+        self._n_stack = n_stack
+        self._rapl0 = n_stack + _N_RATED * n_sockets
+        self._ac_col = self._rapl0 + 2 * n_sockets
+        self._buf = np.empty((MAX_SEGMENTS + 1, self._ac_col + 1))
+        # Per socket, the stack columns from its aperf row through its
+        # stall row (what an EET poll sums).
+        self._n_cores = n_cores
+        self._eet_rows = _ROW_STALL - _ROW_APERF + 1
+        self._eet_cols = [((sid * n_fields + _ROW_APERF) * n_cores,
+                           (sid * n_fields + _ROW_STALL + 1) * n_cores)
+                          for sid in range(n_sockets)]
         # A short batch declined: nothing can fold before this time.
         self._skip_until = -1
         self._sanitize_horizons = 0
@@ -243,41 +269,12 @@ class Horizon:
             rates.append(socket_rates)
 
         # 1. speculate: the owned series and the end each allows
-        streams: list[_Stream] = []
-        end = limit_ns + 1          # exclusive
-        reason = "run_limit"
-        for sid, pcu in enumerate(node.pcus):
-            ticks, f_core, n_held = pcu.peek_ticks(MAX_SEGMENTS + 1)
-            tick = pcu.pending_tick
-            streams.append(_Stream(_TICK, sid, tick.time_ns, tick.seq,
-                                   ticks=ticks, f_core=f_core))
-            if n_held < len(f_core):
-                why = "plan_break"
-            elif n_held <= MAX_SEGMENTS:
-                why = "draw_refill"
-            else:
-                why = "cap"
-            stop = int(ticks[n_held])
-            if stop < end:
-                end, reason = stop, why
-        tasks = [(_POLL, sid, pcu.eet_task)
-                 for sid, pcu in enumerate(node.pcus)]
-        tasks.append((_REFRESH, -1, node.rapl_task))
-        for kind, sid, task in tasks:
-            event = None if task is None else task.pending
-            if event is not None and not event.cancelled:
-                streams.append(_Stream(kind, sid, event.time_ns, event.seq,
-                                       period=task.period_ns))
-        owned = tuple(pcu.pending_tick for pcu in node.pcus) + tuple(
-            task.pending for _, _, task in tasks if task is not None)
-        foreign = sim.queue.first_other(owned)
-        if foreign is not None and foreign[0] < end:
-            end, reason = foreign[0], "foreign"
-
+        streams, end, reason = self._speculate(limit_ns)
         # 2. merge, then cap the segments
-        if sum(len(s.candidates(end)) for s in streams) == 0:
+        merged = _merge(streams, end)
+        if merged is None:
             return
-        index, times = _merge(streams)
+        index, times = merged
         now = sim.now_ns
         new_segment = np.empty(len(times), dtype=bool)
         new_segment[0] = times[0] != now
@@ -334,30 +331,53 @@ class Horizon:
         else:
             stats.stop_cap += 1
 
-    # ---- accumulate -------------------------------------------------------------
+    def _speculate(self, limit_ns: int) -> tuple[list[_Stream], int, str]:
+        """The owned series — both tick chains (times and held prefix
+        from the buffered draws), the EET polls and the RAPL refreshes —
+        and the horizon end (exclusive) with its reason."""
+        node = self.node
+        streams: list[_Stream] = []
+        end = limit_ns + 1
+        reason = "run_limit"
+        for sid, pcu in enumerate(node.pcus):
+            ticks, f_core, n_held = pcu.peek_ticks(MAX_SEGMENTS + 1)
+            streams.append(_Stream(_TICK, sid, pcu.pending_tick,
+                                   ticks=ticks, f_core=f_core))
+            stop = int(ticks[n_held])
+            if stop < end:
+                end = stop
+                if n_held < len(f_core):
+                    reason = "plan_break"
+                elif n_held <= MAX_SEGMENTS:
+                    reason = "draw_refill"
+                else:
+                    reason = "cap"
+        periodic = [(_POLL, sid, pcu.eet_task)
+                    for sid, pcu in enumerate(node.pcus)]
+        periodic.append((_REFRESH, -1, node.rapl_task))
+        series = []
+        for kind, sid, task in periodic:
+            event = None if task is None else task.pending
+            if event is not None and not event.cancelled:
+                series.append(_Stream(kind, sid, event, task=task))
+        # Same-time periodic events fire in pending-seq order.
+        series.sort(key=lambda stream: stream.event.seq)
+        streams.extend(series)
+        foreign = node.sim.queue.first_other(
+            tuple(stream.event for stream in streams))
+        if foreign is not None and foreign[0] < end:
+            end, reason = foreign[0], "foreign"
+        return streams, end, reason
 
-    def _columns(self) -> tuple[int, int, int]:
-        """(counter-stack columns, first RAPL column, wall-energy column)
-        of the accumulate buffer."""
-        if self._cols is None:
-            node = self.node
-            n_stack = node.counter_stack_size
-            rated_end = n_stack + _N_RATED * len(node.sockets)
-            self._cols = (n_stack, rated_end,
-                          rated_end + 2 * len(node.sockets))
-        return self._cols
+    # ---- accumulate -------------------------------------------------------------
 
     def _accumulate(self, now: int, seg_times: np.ndarray,
                     rates: list) -> np.ndarray:
         """Rows ``0..K`` of every accumulator after ``0..K`` segments:
         row 0 the live values, row ``k`` the ``k``-th per-segment sum."""
         node = self.node
-        n_stack, rapl0, ac_col = self._columns()
-        buf = self._buf
-        if buf is None:
-            buf = self._buf = np.empty((MAX_SEGMENTS + 1, ac_col + 1))
-        k = len(seg_times)
-        acc = buf[:k + 1]
+        n_stack, rapl0, ac_col = self._n_stack, self._rapl0, self._ac_col
+        acc = self._buf[:len(seg_times) + 1]
         dt_ns = np.empty_like(seg_times)
         dt_ns[0] = seg_times[0] - now
         np.subtract(seg_times[1:], seg_times[:-1], out=dt_ns[1:])
@@ -365,35 +385,35 @@ class Horizon:
 
         # Row 0: the live accumulators.
         acc[0, :n_stack] = node.counter_stack_flat
-        rated = []
+        start = []
+        for socket in node.sockets:
+            start += socket.scalar_accumulators()
+        row0 = acc[0]
         dc_w = 0.0
-        for sid, (socket, socket_rates) in enumerate(zip(node.sockets,
-                                                         rates)):
-            values = socket.scalar_accumulators()
+        for sid, socket_rates in enumerate(rates):
             lo = n_stack + _N_RATED * sid
-            acc[0, lo:lo + _N_RATED] = values[:_N_RATED]
-            acc[0, rapl0 + 2 * sid:rapl0 + 2 * sid + 2] = values[_N_RATED:]
-            rated.append(socket.scalar_rates(socket_rates))
+            row0[lo:lo + _N_RATED] = start[7 * sid:7 * sid + _N_RATED]
+            row0[rapl0 + 2 * sid] = start[7 * sid + 5]
+            row0[rapl0 + 2 * sid + 1] = start[7 * sid + 6]
             dc_w += socket_rates.dc_w
-        acc[0, ac_col] = node.ac_energy_j
+        row0[ac_col] = node.ac_energy_j
 
         # Rows 1..K: the per-segment increments, each the product the
         # per-segment path forms (rate * dt_s, RAPL through its backend,
         # wall energy as ac_w * dt_ns / NS_PER_S).
-        rate_vec = np.concatenate([node.rate_stack_flat,
-                                   np.array(rated).reshape(-1)])
-        np.multiply(dt_s[:, None], rate_vec[None, :], out=acc[1:, :rapl0])
+        dt_col = dt_s[:, None]
+        np.multiply(dt_col, node.rate_stack_flat, out=acc[1:, :n_stack])
+        rated = []
+        for socket, socket_rates in zip(node.sockets, rates):
+            rated += socket.scalar_rates(socket_rates)
+        np.multiply(dt_col, rated, out=acc[1:, n_stack:rapl0])
         for sid, (socket, socket_rates) in enumerate(zip(node.sockets,
                                                          rates)):
-            lo = n_stack + _N_RATED * sid
-            backend = socket.rapl.backend
-            col = rapl0 + 2 * sid
-            acc[1:, col] = backend.accumulate(acc[1:, lo + 3],
-                                              socket_rates.bias)
-            acc[1:, col + 1] = backend.accumulate(acc[1:, lo + 4],
-                                                  socket_rates.bias)
-        ac_w = node.psu.ac_power_w(dc_w)
-        acc[1:, ac_col] = ac_w * dt_ns / NS_PER_S
+            lo = n_stack + _N_RATED * sid + 3     # package, DRAM energy
+            acc[1:, rapl0 + 2 * sid:rapl0 + 2 * sid + 2] = \
+                socket.rapl.backend.accumulate(acc[1:, lo:lo + 2],
+                                               socket_rates.bias)
+        acc[1:, ac_col] = node.psu.ac_power_w(dc_w) * dt_ns / NS_PER_S
         np.add.accumulate(acc, axis=0, out=acc)
         return acc
 
@@ -406,47 +426,53 @@ class Horizon:
         are committed and the stop reason.
 
         Each EET poll reads the stall and unhalted-cycle sums of the
-        accumulated row at its time (row sums over a contiguous gather,
-        equal to the per-row ``.sum()``); the prefix ends right after
-        the first poll that moves the trim.
+        accumulated row at its time — row sums over a contiguous gather,
+        equal to the per-row ``.sum()`` of ``Socket.counter_total`` —
+        and the prefix ends right after the first poll that moves the
+        trim.
         """
         node = self.node
         pcus = node.pcus
-        n_fields, n_cores = node.counter_stack_shape[1:]
         committed = len(index)
+        order = index.argsort(kind="stable")
+        bounds = np.bincount(index, minlength=len(streams)).cumsum().tolist()
+        lo = 0
         polls = []
-        for i, stream in enumerate(streams):
-            if stream.kind != _POLL:
+        for stream, hi in zip(streams, bounds):
+            stream.at = order[lo:hi]
+            lo = hi
+            if stream.kind != _POLL or not len(stream.at):
                 continue
-            at = (index == i).nonzero()[0]
-            base = stream.sid * n_fields
-            lo = (base + FIELD_ROW["stall_cycles"]) * n_cores
-            stall = acc[rows[at], lo:lo + n_cores].sum(axis=1)
-            lo = (base + FIELD_ROW["aperf"]) * n_cores
-            cycles = acc[rows[at], lo:lo + n_cores].sum(axis=1)
+            first, last = self._eet_cols[stream.sid]
+            sums = acc[rows[stream.at], first:last].reshape(
+                len(stream.at), self._eet_rows, self._n_cores).sum(axis=2)
+            cycles = sums[:, 0]
+            stall = sums[:, -1]
             pcu = pcus[stream.sid]
             fractions = pcu.eet_fractions(stall, cycles)
             moved = pcu.eet.first_change(fractions, pcu.epb)
-            if moved < len(at) and at[moved] + 1 <= committed:
-                committed, reason = int(at[moved]) + 1, "trim_change"
-            polls.append((pcu, at, stall, cycles, fractions))
-        for pcu, at, stall, cycles, fractions in polls:
-            n = int(np.searchsorted(at, committed))
+            if moved < len(stream.at) and stream.at[moved] < committed:
+                committed, reason = int(stream.at[moved]) + 1, "trim_change"
+            polls.append((pcu, stream, stall, cycles, fractions))
+        for pcu, stream, stall, cycles, fractions in polls:
+            n = int(stream.at.searchsorted(committed))
             if n:
                 pcu.eet_commit(stall[:n], cycles[:n], fractions[:n])
 
-        index = index[:committed]
-        ledgered = any(pcu.draws_ledgered for pcu in pcus)
-        for i, stream in enumerate(streams):
-            at = (index == i).nonzero()[0]
-            stream.fired = len(at)
-            stream.last = int(at[-1]) if len(at) else -1
-            if stream.kind == _TICK and stream.fired:
-                pcus[stream.sid].fold_ticks(stream.ticks[:stream.fired],
-                                            stream.f_core[:stream.fired])
+        ledgered = pcus[0].draws_ledgered
+        for stream in streams:
+            at = stream.at
+            if len(at) and at[-1] >= committed:
+                at = stream.at = at[:at.searchsorted(committed)]
+            stream.fired = n = len(at)
+            if not n:
+                continue
+            if stream.kind == _TICK:
+                pcu = pcus[stream.sid]
+                pcu.fold_ticks(stream.ticks[:n], stream.f_core[:n])
                 if not ledgered:
-                    pcus[stream.sid].commit_draws(stream.fired)
-            elif stream.kind == _REFRESH and stream.fired:
+                    pcu.commit_draws(n)
+            elif stream.kind == _REFRESH:
                 # Only the last latch survives; every refresh still
                 # emits its record when the trace wants them.
                 latch = at if node.sim.trace.wants("rapl-update") \
@@ -454,7 +480,7 @@ class Horizon:
                 self._latch(acc, rows[latch], times[latch])
         if ledgered:
             # One draw record per tick, across sockets in firing order.
-            for i in index.tolist():
+            for i in index[:committed].tolist():
                 if streams[i].kind == _TICK:
                     pcus[streams[i].sid].commit_draws(1)
         return committed, reason
@@ -463,7 +489,7 @@ class Horizon:
                times: np.ndarray) -> None:
         """RAPL refreshes at ``times``, from the accumulated ``rows``."""
         node = self.node
-        _, rapl0, _ = self._columns()
+        rapl0 = self._rapl0
         n_sockets = len(node.sockets)
         for row, t in zip(rows.tolist(), times.tolist()):
             energy = acc[row, rapl0:rapl0 + 2 * n_sockets].tolist()
@@ -479,7 +505,7 @@ class Horizon:
         events in the order their predecessors fired."""
         node = self.node
         pcus = node.pcus
-        n_stack, rapl0, ac_col = self._columns()
+        n_stack, rapl0 = self._n_stack, self._rapl0
         values = acc[row].tolist()
         node.store_counter_stack(acc[row, :n_stack], dt_ns)
         for sid, socket in enumerate(node.sockets):
@@ -487,9 +513,10 @@ class Horizon:
             socket.fold_segments(
                 values[lo:lo + _N_RATED]
                 + values[rapl0 + 2 * sid:rapl0 + 2 * sid + 2], dt_ns)
-        node.ac_energy_j = values[ac_col]
+        node.ac_energy_j = values[self._ac_col]
 
-        fired = sorted((s for s in streams if s.fired), key=lambda s: s.last)
+        fired = sorted((s for s in streams if s.fired),
+                       key=lambda s: int(s.at[-1]))
         ticks = [s for s in fired if s.kind == _TICK]
         if ticks:
             pcus[ticks[-1].sid].select_mbvr_state()
@@ -497,9 +524,7 @@ class Horizon:
             if stream.kind == _TICK:
                 pcus[stream.sid].reschedule_tick(stream.successor())
             else:
-                task = (node.rapl_task if stream.kind == _REFRESH
-                        else pcus[stream.sid].eet_task)
-                task.fast_forward(stream.successor() - stream.period)
+                stream.task.fast_forward(stream.successor() - stream.period)
 
     # ---- sanitize ---------------------------------------------------------------
 
@@ -519,7 +544,7 @@ class Horizon:
             return
         self.sanitize_checks += 1
         node = self.node
-        n_stack, rapl0, ac_col = self._columns()
+        n_stack, rapl0, ac_col = self._n_stack, self._rapl0, self._ac_col
         n_fields, n_cores = node.counter_stack_shape[1:]
         times = [now, *seg_times[:row].tolist()]
         dts = [(t1 - t0) for t0, t1 in zip(times, times[1:])]
