@@ -67,7 +67,7 @@ class EetController:
         rule as one vector expression — or ``len(fractions)``."""
         if not self.enabled:
             return len(fractions)
-        trims = fractions * TRIM_SCALE_HZ[epb]
-        moved = (np.abs(trims - self._trim_hz)
-                 >= TRIM_EPSILON_HZ).nonzero()[0]
-        return int(moved[0]) if len(moved) else len(fractions)
+        moved = np.abs(fractions * TRIM_SCALE_HZ[epb] - self._trim_hz) \
+            >= TRIM_EPSILON_HZ
+        first = int(moved.argmax())
+        return first if moved[first] else len(fractions)

@@ -290,15 +290,16 @@ class Pcu:
         threshold = self._APPLY_THRESHOLD_HZ
         for target, freq in plan.pairs:
             holds = np.abs(np.minimum(target, f_core) - freq) < threshold
-            if not holds.all():
-                n_held = min(n_held, int(holds.argmin()))
+            first = holds.argmin() if n_held else 0
+            if n_held and not holds[first]:
+                n_held = min(n_held, int(first))
         quantum = self.spec.pcu_quantum_ns or us(500)
         times = np.empty(len(f_core) + 1, dtype=np.int64)
         times[0] = self._tick_event.time_ns
         steps = times[1:]
         np.add(jitter, quantum, out=steps)
         np.maximum(steps, 1, out=steps)
-        times.cumsum(out=times)
+        np.add.accumulate(times, out=times)
         return times, f_core, n_held
 
     def fold_ticks(self, times: np.ndarray, f_core: np.ndarray) -> None:
@@ -323,12 +324,13 @@ class Pcu:
         d_cycles = np.empty_like(cycles)
         d_cycles[0] = cycles[0] - self._eet_last_cycles
         np.subtract(cycles[1:], cycles[:-1], out=d_cycles[1:])
-        fractions = np.zeros_like(stall)
         live = d_cycles > 0
-        if live.all():
-            np.minimum(d_stall / d_cycles, 1.0, out=fractions)
-        else:
-            fractions[live] = np.minimum(d_stall[live] / d_cycles[live], 1.0)
+        first = live.argmin()
+        if live[first]:
+            fractions = d_stall / d_cycles
+            return np.minimum(fractions, 1.0, out=fractions)
+        fractions = np.zeros_like(stall)
+        fractions[live] = np.minimum(d_stall[live] / d_cycles[live], 1.0)
         return fractions
 
     def eet_commit(self, stall: np.ndarray, cycles: np.ndarray,

@@ -125,6 +125,19 @@ class _Stream:
         self.at: np.ndarray | None = None   # their positions, firing order
         self.fired = 0              # events in the committed prefix
 
+    def count_before(self, end: int) -> int:
+        """Set and return :attr:`count`: the events before ``end`` (at
+        most MAX_SEGMENTS + 1 of a periodic series — more cannot fit
+        under the segment cap)."""
+        if self.ticks is not None:
+            self.count = int(self.ticks.searchsorted(end))
+        elif self.first < end:
+            self.count = min(-(-(end - self.first) // self.period),
+                             MAX_SEGMENTS + 1)
+        else:
+            self.count = 0
+        return self.count
+
     def times(self) -> np.ndarray:
         """The candidate event times."""
         if self.ticks is not None:
@@ -139,10 +152,9 @@ class _Stream:
         return self.first + self.fired * self.period
 
 
-def _merge(streams: list[_Stream], end: int) -> tuple[np.ndarray,
-                                                     np.ndarray] | None:
-    """Every owned event before ``end`` in firing order, as ``(stream
-    index, time)`` arrays; None when there is none.
+def _merge(streams: list[_Stream]) -> tuple[np.ndarray, np.ndarray]:
+    """Every counted event (:meth:`_Stream.count_before`) in firing
+    order, as ``(stream index, time)`` arrays.
 
     The queue fires in ``(time, seq)`` order, and a fired event's
     successor gets the next seq — after everything already queued, in
@@ -151,27 +163,17 @@ def _merge(streams: list[_Stream], end: int) -> tuple[np.ndarray,
     reproduces that; a tick on another event's exact nanosecond, or
     misaligned series, take the general merge.
     """
+    if len({(s.first, s.period) for s in streams if s.ticks is None}) > 1:
+        return _merge_by_rank(streams)
     n = len(streams)
     keys = []
     for i, stream in enumerate(streams):
         if stream.ticks is not None:
-            ticks = stream.ticks[:stream.ticks.searchsorted(end)]
-            stream.count = len(ticks)
-            keys.append(ticks * n + i)
-        elif stream.first < end:
-            count = min(-(-(end - stream.first) // stream.period),
-                        MAX_SEGMENTS + 1)
-            stream.count = count
+            keys.append(stream.ticks[:stream.count] * n + i)
+        elif stream.count:
             key0, step = stream.first * n + i, stream.period * n
-            keys.append(np.arange(key0, key0 + count * step, step))
-    if not keys:
-        return None
-    periodic = {(s.first, s.period) for s in streams if s.ticks is None}
+            keys.append(np.arange(key0, key0 + stream.count * step, step))
     keys = np.concatenate(keys)
-    if not len(keys):
-        return None
-    if len(periodic) > 1:
-        return _merge_by_rank(streams)
     keys.sort()
     times, index = np.divmod(keys, n)
     tie = times[1:] == times[:-1]
@@ -221,13 +223,13 @@ class Horizon:
         self._rapl0 = n_stack + _N_RATED * n_sockets
         self._ac_col = self._rapl0 + 2 * n_sockets
         self._buf = np.empty((MAX_SEGMENTS + 1, self._ac_col + 1))
-        # Per socket, the stack columns from its aperf row through its
-        # stall row (what an EET poll sums).
+        # The stack columns an EET poll sums: per socket, its aperf row
+        # then its stall row.
         self._n_cores = n_cores
-        self._eet_rows = _ROW_STALL - _ROW_APERF + 1
-        self._eet_cols = [((sid * n_fields + _ROW_APERF) * n_cores,
-                           (sid * n_fields + _ROW_STALL + 1) * n_cores)
-                          for sid in range(n_sockets)]
+        self._eet_cols = np.array(
+            [(sid * n_fields + row) * n_cores + core
+             for sid in range(n_sockets) for row in (_ROW_APERF, _ROW_STALL)
+             for core in range(n_cores)], dtype=np.intp)
         # A short batch declined: nothing can fold before this time.
         self._skip_until = -1
         self._sanitize_horizons = 0
@@ -271,10 +273,12 @@ class Horizon:
         # 1. speculate: the owned series and the end each allows
         streams, end, reason = self._speculate(limit_ns)
         # 2. merge, then cap the segments
-        merged = _merge(streams, end)
-        if merged is None:
+        events = sum(stream.count_before(end) for stream in streams)
+        if events < MIN_FOLD_EVENTS:
+            if events:
+                self._decline(end, limit_ns)
             return
-        index, times = merged
+        index, times = _merge(streams)
         now = sim.now_ns
         new_segment = np.empty(len(times), dtype=bool)
         new_segment[0] = times[0] != now
@@ -286,10 +290,7 @@ class Horizon:
             new_segment = new_segment[:cut]
             reason = "cap"
         if len(index) < MIN_FOLD_EVENTS:
-            # Until the event that ends this batch fires, a later call
-            # can only find the same end or an earlier one.
-            self.horizon_stats.declined += 1
-            self._skip_until = min(end, limit_ns)
+            self._decline(end, limit_ns)
             return
         seg_times = times[new_segment]
 
@@ -330,6 +331,12 @@ class Horizon:
             stats.stop_run_limit += 1
         else:
             stats.stop_cap += 1
+
+    def _decline(self, end: int, limit_ns: int) -> None:
+        """A batch too short to pay: until the event that ends it fires,
+        a later offer can only find the same end or an earlier one."""
+        self.horizon_stats.declined += 1
+        self._skip_until = min(end, limit_ns)
 
     def _speculate(self, limit_ns: int) -> tuple[list[_Stream], int, str]:
         """The owned series — both tick chains (times and held prefix
@@ -440,22 +447,32 @@ class Horizon:
         polls = []
         for stream, hi in zip(streams, bounds):
             stream.at = order[lo:hi]
+            if stream.kind == _POLL and hi > lo:
+                polls.append(stream)
             lo = hi
-            if stream.kind != _POLL or not len(stream.at):
-                continue
-            first, last = self._eet_cols[stream.sid]
-            sums = acc[rows[stream.at], first:last].reshape(
-                len(stream.at), self._eet_rows, self._n_cores).sum(axis=2)
-            cycles = sums[:, 0]
-            stall = sums[:, -1]
+        # The aligned series poll at the same rows: one gather and one
+        # row sum serve every socket (else one of each per socket).
+        poll_rows = [rows[stream.at] for stream in polls]
+        shared = all(np.array_equal(poll_rows[0], r) for r in poll_rows[1:])
+        n_cores = self._n_cores
+        samples = []
+        for k, stream in enumerate(polls):
+            if k == 0 or not shared:
+                width = 2 * n_cores
+                cols = (self._eet_cols if shared else self._eet_cols[
+                    width * stream.sid:width * (stream.sid + 1)])
+                picked = acc[poll_rows[k][:, None], cols]
+                sums = picked.reshape(len(picked), -1, n_cores).sum(axis=2)
+            pair = 2 * stream.sid if shared else 0
+            cycles, stall = sums[:, pair], sums[:, pair + 1]
             pcu = pcus[stream.sid]
             fractions = pcu.eet_fractions(stall, cycles)
             moved = pcu.eet.first_change(fractions, pcu.epb)
             if moved < len(stream.at) and stream.at[moved] < committed:
                 committed, reason = int(stream.at[moved]) + 1, "trim_change"
-            polls.append((pcu, stream, stall, cycles, fractions))
-        for pcu, stream, stall, cycles, fractions in polls:
-            n = int(stream.at.searchsorted(committed))
+            samples.append((pcu, stream.at, stall, cycles, fractions))
+        for pcu, at, stall, cycles, fractions in samples:
+            n = int(at.searchsorted(committed))
             if n:
                 pcu.eet_commit(stall[:n], cycles[:n], fractions[:n])
 

@@ -555,6 +555,14 @@ class TestBatchedAccumulate:
             gathered = data[pick, lo:cols].sum(axis=1)
             assert np.array_equal(
                 gathered, [data[r, lo:cols].sum() for r in pick])
+            # the fancy gather of whole 12-core rows the horizon uses
+            width = 12 * rng.integers(1, 5)
+            data = np.cumsum(rng.random((rows, width)), axis=0)
+            cells = rng.permutation(width)[:width // 12 * 12]
+            picked = data[pick[:, None], cells].reshape(len(pick), -1, 12)
+            assert np.array_equal(picked.sum(axis=2), [
+                [data[r, cells[12 * j:12 * j + 12]].sum()
+                 for j in range(width // 12)] for r in pick])
 
 
 # ---- 3. parallel suite parity ----------------------------------------------
