@@ -38,7 +38,6 @@ DEFAULT_SEED = 0x9A5735
 DRAW_BATCH_BLOCK = 256
 
 _NO_DRAWS = np.empty(0)
-_NO_DRAWS.flags.writeable = False
 
 
 def make_rng(seed: int | None = None) -> np.random.Generator:
@@ -81,8 +80,8 @@ class DrawBatch:
     ``rng-batch-bypass`` lint rule.
     """
 
-    __slots__ = ("_parent", "_method", "_block",
-                 "_prefill", "_prefill_args", "_prefill_cursor", "_site")
+    __slots__ = ("_parent", "_method", "_block", "_prefill",
+                 "_prefill_args", "_prefill_cursor", "_refills", "_site")
 
     def __init__(self, parent, method: str,
                  block: int = DRAW_BATCH_BLOCK) -> None:
@@ -94,6 +93,7 @@ class DrawBatch:
         self._prefill: np.ndarray | None = None
         self._prefill_args: tuple = ()
         self._prefill_cursor = 0
+        self._refills = 0
         self._site: str | None = None   # ledger site of the last take
 
     def take(self, *args):
@@ -107,6 +107,7 @@ class DrawBatch:
             prefill = self._prefill = getattr(bare, self._method)(
                 *args, size=self._block)
             self._prefill_args = args
+            self._refills += 1
             cursor = 0
         self._prefill_cursor = cursor + 1
         ledger = getattr(self._parent, "_ledger", None)
@@ -121,16 +122,21 @@ class DrawBatch:
         without a refill or retune, left unconsumed.
 
         Empty when the very next ``take`` would refill (buffer spent or
-        never filled) or retune (``args`` differ). The result is a
-        read-only view: use it before the next ``take``/``commit``.
+        never filled) or retune (``args`` differ). The result is a view
+        into the buffer: read it, never write it, and use it before the
+        next ``take``/``commit``.
         """
         prefill = self._prefill
         if prefill is None or args != self._prefill_args:
             return _NO_DRAWS
         cursor = self._prefill_cursor
-        view = prefill[cursor:cursor + n]
-        view.flags.writeable = False
-        return view
+        return prefill[cursor:cursor + n]
+
+    @property
+    def position(self) -> tuple[int, int]:
+        """``(refills so far, cursor)``: two equal positions read the
+        same buffer, ``cursor`` apart."""
+        return self._refills, self._prefill_cursor
 
     @property
     def ledgered(self) -> bool:

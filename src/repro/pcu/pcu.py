@@ -42,6 +42,8 @@ if TYPE_CHECKING:
 TICK_JITTER_NS = us(10)
 # Recent tick times kept for tests/analysis (~2 s of quanta).
 TICK_HISTORY = 4096
+# Speculate over whatever is left of the draw buffers.
+_PEEK_ALL = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,7 @@ class Pcu:
         self._tick_event = None
         self._eet_task = None
         self.held = False
+        self._peek_memo: tuple | None = None   # see peek_ticks
 
     # ---- lifecycle -------------------------------------------------------------
 
@@ -275,24 +278,41 @@ class Pcu:
         (:meth:`_plan_holds`). Fewer than ``n`` ticks come back when a
         draw buffer would refill or retune first. Only valid while
         :meth:`horizon_ready`.
+
+        One speculation covers the rest of the buffers; later calls under
+        an equal plan slice it where the buffers have got to since.
         """
         plan = self._plan
-        point = plan.point
         spread = TICK_JITTER_NS + self.extra_tick_jitter_ns
-        jitter = self._jitter_batch.peek(n, -spread, spread + 1)
+        jitter_at = self._jitter_batch.position
+        dither_at = self._dither_batch.position
+        memo = self._peek_memo
+        if memo is not None and memo[1] == spread and memo[0] == plan:
+            _, _, memo_jitter, memo_dither, times, f_core, breaks = memo
+            skip = jitter_at[1] - memo_jitter[1]
+            if (jitter_at[0] == memo_jitter[0] and 0 <= skip < len(times)
+                    and (not plan.point.tdp_bound
+                         or (dither_at[0] == memo_dither[0] and
+                             dither_at[1] - memo_dither[1] == skip))
+                    and times[skip] == self._tick_event.time_ns):
+                first = breaks.searchsorted(skip)
+                n_held = (int(breaks[first]) if first < len(breaks)
+                          else len(f_core)) - skip
+                return (times[skip:skip + n + 1], f_core[skip:skip + n],
+                        min(n_held, n))
+        point = plan.point
+        jitter = self._jitter_batch.peek(_PEEK_ALL, -spread, spread + 1)
         if point.tdp_bound:
             draws = self._dither_batch.peek(len(jitter), *DITHER_ARGS)
             jitter = jitter[:len(draws)]
         else:
             draws = jitter
         f_core = self.limiter.dither_many(point, draws)
-        n_held = len(f_core)
+        holds = np.ones(len(f_core), dtype=bool)
         threshold = self._APPLY_THRESHOLD_HZ
         for target, freq in plan.pairs:
-            holds = np.abs(np.minimum(target, f_core) - freq) < threshold
-            first = holds.argmin() if n_held else 0
-            if n_held and not holds[first]:
-                n_held = min(n_held, int(first))
+            holds &= np.abs(np.minimum(target, f_core) - freq) < threshold
+        breaks = (~holds).nonzero()[0]
         quantum = self.spec.pcu_quantum_ns or us(500)
         times = np.empty(len(f_core) + 1, dtype=np.int64)
         times[0] = self._tick_event.time_ns
@@ -300,7 +320,10 @@ class Pcu:
         np.add(jitter, quantum, out=steps)
         np.maximum(steps, 1, out=steps)
         np.add.accumulate(times, out=times)
-        return times, f_core, n_held
+        self._peek_memo = (plan, spread, jitter_at, dither_at, times, f_core,
+                           breaks)
+        n_held = int(breaks[0]) if len(breaks) else len(f_core)
+        return times[:n + 1], f_core[:n], min(n_held, n)
 
     def fold_ticks(self, times: np.ndarray, f_core: np.ndarray) -> None:
         """Carry out held ticks a stepper folded (at ``times``, under the

@@ -46,6 +46,7 @@ from the sockets' cached rates with a scalar left-to-right loop.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -71,8 +72,9 @@ MAX_SEGMENTS = 100
 # Event streams a batch merges.
 _TICK, _POLL, _REFRESH = 0, 1, 2
 # Scalar accumulators per socket (Socket.scalar_accumulators order): the
-# first five advance by rate x dt_s, the last two through RAPL.
-_N_RATED = 5
+# first five advance by rate x dt_s, the last two (RAPL package and DRAM
+# energy) through the RAPL backend.
+_N_SCALARS = 7
 # Successor rank base: above every seq the event queue hands out here.
 _RANK_BASE = 1 << 62
 # An EET poll sums the aperf and stall rows of its socket's counters.
@@ -108,7 +110,7 @@ class _Stream:
     draws) or a periodic series (``first + k * period``)."""
 
     __slots__ = ("kind", "sid", "event", "task", "first", "period", "ticks",
-                 "f_core", "count", "at", "fired")
+                 "f_core", "count", "pos", "fired")
 
     def __init__(self, kind: int, sid: int, event, task=None,
                  ticks: np.ndarray | None = None,
@@ -122,7 +124,7 @@ class _Stream:
         self.ticks = ticks          # tick times, each tick's successor last
         self.f_core = f_core        # each tick's dithered ceiling
         self.count = 0              # candidate events before the end
-        self.at: np.ndarray | None = None   # their positions, firing order
+        self.pos: list[int] = []    # their positions in firing order
         self.fired = 0              # events in the committed prefix
 
     def count_before(self, end: int) -> int:
@@ -138,12 +140,12 @@ class _Stream:
             self.count = 0
         return self.count
 
-    def times(self) -> np.ndarray:
+    def times(self) -> list[int]:
         """The candidate event times."""
         if self.ticks is not None:
-            return self.ticks[:self.count]
-        return self.first + self.period * np.arange(self.count,
-                                                    dtype=np.int64)
+            return self.ticks[:self.count].tolist()
+        return list(range(self.first, self.first + self.count * self.period,
+                          self.period))
 
     def successor(self) -> int:
         """Time of the event after the last fired one."""
@@ -152,43 +154,78 @@ class _Stream:
         return self.first + self.fired * self.period
 
 
-def _merge(streams: list[_Stream]) -> tuple[np.ndarray, np.ndarray]:
+_NEVER = 1 << 63
+
+
+def _sums(acc: np.ndarray, row: int) -> np.ndarray:
+    """Every accumulator after ``row`` segments: row 0 plus the first
+    ``row`` increment rows, added row after row (a reduce along the
+    slow axis adds each row in turn; pairwise summation is only used
+    along the fast one)."""
+    return np.add.reduce(acc[:row + 1], axis=0)
+
+
+def _merge(streams: list[_Stream]) -> tuple[list[int], list[int]]:
     """Every counted event (:meth:`_Stream.count_before`) in firing
-    order, as ``(stream index, time)`` arrays.
+    order: ``(stream indices, times)``.
 
     The queue fires in ``(time, seq)`` order, and a fired event's
     successor gets the next seq — after everything already queued, in
-    firing order. The periodic series share one period and phase and
-    come in pending-seq order, so one sort of ``time * n + index``
-    reproduces that; a tick on another event's exact nanosecond, or
-    misaligned series, take the general merge.
+    firing order. In a node's steady phase that is a three-way merge: two
+    tick chains and the 1 ms series, which share one period and phase and
+    fire in pending-seq order (the order of ``streams``). Any other
+    shape — a tick on another event's exact nanosecond, misaligned
+    series — takes the general merge.
     """
-    if len({(s.first, s.period) for s in streams if s.ticks is None}) > 1:
+    ticks = [s for s in streams if s.ticks is not None]
+    group = [i for i, s in enumerate(streams) if s.ticks is None and s.count]
+    if len(ticks) != 2 or len({(streams[i].first, streams[i].period)
+                               for i in group}) > 1:
         return _merge_by_rank(streams)
-    n = len(streams)
-    keys = []
-    for i, stream in enumerate(streams):
-        if stream.ticks is not None:
-            keys.append(stream.ticks[:stream.count] * n + i)
-        elif stream.count:
-            key0, step = stream.first * n + i, stream.period * n
-            keys.append(np.arange(key0, key0 + stream.count * step, step))
-    keys = np.concatenate(keys)
-    keys.sort()
-    times, index = np.divmod(keys, n)
-    tie = times[1:] == times[:-1]
-    if tie.any():
-        n_ticks = sum(1 for s in streams if s.ticks is not None)
-        if (index[:-1][tie] < n_ticks).any() \
-                or (index[1:][tie] < n_ticks).any():
-            return _merge_by_rank(streams)
-    return index, times
+    a = ticks[0].times()
+    a.append(_NEVER)
+    b = ticks[1].times()
+    b.append(_NEVER)
+    if group:
+        lead = streams[group[0]]
+        grid = lead.times()
+    else:
+        grid = []
+    grid.append(_NEVER)
+    index: list[int] = []
+    times: list[int] = []
+    ia = ib = ig = 0
+    ta, tb, tg = a[0], b[0], grid[0]
+    while True:
+        t = min(ta, tb, tg)
+        if t == _NEVER:
+            return index, times
+        if t == ta:
+            if t == tb or t == tg:
+                return _merge_by_rank(streams)
+            index.append(0)
+            times.append(t)
+            ia += 1
+            ta = a[ia]
+        elif t == tb:
+            if t == tg:
+                return _merge_by_rank(streams)
+            index.append(1)
+            times.append(t)
+            ib += 1
+            tb = b[ib]
+        else:
+            for i in group:
+                index.append(i)
+                times.append(t)
+            ig += 1
+            tg = grid[ig]
 
 
-def _merge_by_rank(streams: list[_Stream]) -> tuple[np.ndarray, np.ndarray]:
+def _merge_by_rank(streams: list[_Stream]) -> tuple[list[int], list[int]]:
     """The general merge: replay the queue's (time, seq) order with a
     heap, ranking each successor by its predecessor's firing."""
-    times_of = [s.times().tolist() for s in streams]
+    times_of = [s.times() for s in streams]
     heap = [(t[0], s.event.seq, i)
             for i, (s, t) in enumerate(zip(streams, times_of)) if t]
     heapq.heapify(heap)
@@ -204,7 +241,7 @@ def _merge_by_rank(streams: list[_Stream]) -> tuple[np.ndarray, np.ndarray]:
         if pos[i] < len(times_of[i]):
             heapq.heappush(heap, (times_of[i][pos[i]], rank, i))
         rank += 1
-    return np.array(index, dtype=np.intp), np.array(times, dtype=np.int64)
+    return index, times
 
 
 class Horizon:
@@ -218,18 +255,22 @@ class Horizon:
         n_fields, n_cores = node.counter_stack_shape[1:]
         n_stack = node.counter_stack_size
         # Accumulate buffer columns: the counter stack, each socket's
-        # five rated scalars, each socket's RAPL pair, wall energy.
+        # scalar accumulators, wall energy.
         self._n_stack = n_stack
-        self._rapl0 = n_stack + _N_RATED * n_sockets
-        self._ac_col = self._rapl0 + 2 * n_sockets
+        self._ac_col = n_stack + _N_SCALARS * n_sockets
         self._buf = np.empty((MAX_SEGMENTS + 1, self._ac_col + 1))
-        # The stack columns an EET poll sums: per socket, its aperf row
-        # then its stall row.
+        # The columns read mid-batch, accumulated row by row: what an
+        # EET poll sums (per socket, its aperf row then its stall row)
+        # and the RAPL pairs a refresh latches. Every other column only
+        # needs its sum at the committed row.
         self._n_cores = n_cores
-        self._eet_cols = np.array(
+        self._n_eet = 2 * n_cores * n_sockets
+        self._observed = np.array(
             [(sid * n_fields + row) * n_cores + core
              for sid in range(n_sockets) for row in (_ROW_APERF, _ROW_STALL)
-             for core in range(n_cores)], dtype=np.intp)
+             for core in range(n_cores)]
+            + [n_stack + _N_SCALARS * sid + j
+               for sid in range(n_sockets) for j in (5, 6)], dtype=np.intp)
         # A short batch declined: nothing can fold before this time.
         self._skip_until = -1
         self._sanitize_horizons = 0
@@ -272,41 +313,45 @@ class Horizon:
 
         # 1. speculate: the owned series and the end each allows
         streams, end, reason = self._speculate(limit_ns)
-        # 2. merge, then cap the segments
         events = sum(stream.count_before(end) for stream in streams)
         if events < MIN_FOLD_EVENTS:
             if events:
                 self._decline(end, limit_ns)
             return
+        # 2. merge; number the segments, capped at MAX_SEGMENTS
         index, times = _merge(streams)
         now = sim.now_ns
-        new_segment = np.empty(len(times), dtype=bool)
-        new_segment[0] = times[0] != now
-        np.not_equal(times[1:], times[:-1], out=new_segment[1:])
-        rows = new_segment.cumsum()
-        if rows[-1] > MAX_SEGMENTS:
-            cut = int(rows.searchsorted(MAX_SEGMENTS, side="right"))
-            index, times, rows = index[:cut], times[:cut], rows[:cut]
-            new_segment = new_segment[:cut]
-            reason = "cap"
-        if len(index) < MIN_FOLD_EVENTS:
+        rows: list[int] = []
+        seg_times: list[int] = []
+        last = now
+        for t in times:
+            if t != last:
+                if len(seg_times) == MAX_SEGMENTS:
+                    reason = "cap"
+                    break
+                seg_times.append(t)
+                last = t
+            rows.append(len(seg_times))
+        if len(rows) < MIN_FOLD_EVENTS:
             self._decline(end, limit_ns)
             return
-        seg_times = times[new_segment]
+        for k, i in enumerate(index[:len(rows)]):
+            streams[i].pos.append(k)
 
         # 3. accumulate; 4. walk; 5. commit
         sanitized = any(s.sanitize_enabled for s in node.sockets)
         if sanitized:
             for sid, socket_rates in enumerate(rates):
                 node.check_segment(sid, socket_rates)
-        acc = self._accumulate(now, seg_times, rates)
-        committed, reason = self._walk(streams, index, rows, times, acc,
-                                       reason)
-        row = int(rows[committed - 1])
-        t_last = int(times[committed - 1])
-        self._commit(streams, acc, row, t_last - now)
+        acc, observed = self._accumulate(now, seg_times, rates)
+        committed, reason = self._walk(streams, index, rows, times,
+                                       observed, reason)
+        row = rows[committed - 1]
+        t_last = times[committed - 1]
+        final = _sums(acc, row)
+        self._commit(streams, final, t_last - now)
         if sanitized:
-            self._check(acc, row, now, seg_times, rates)
+            self._check(acc, final, row, now, seg_times, rates)
         sim.now_ns = t_last
 
         stats = self.horizon_stats
@@ -378,56 +423,59 @@ class Horizon:
 
     # ---- accumulate -------------------------------------------------------------
 
-    def _accumulate(self, now: int, seg_times: np.ndarray,
-                    rates: list) -> np.ndarray:
-        """Rows ``0..K`` of every accumulator after ``0..K`` segments:
-        row 0 the live values, row ``k`` the ``k``-th per-segment sum."""
+    def _accumulate(self, now: int, seg_times: list[int],
+                    rates: list) -> tuple[np.ndarray, np.ndarray]:
+        """The accumulators and their per-segment increments, row 0 the
+        live values and row ``k`` the ``k``-th segment's increment (the
+        product the per-segment path forms: ``rate * dt_s``, RAPL
+        through its backend, wall energy as ``ac_w * dt_ns / NS_PER_S``);
+        and the columns read mid-batch, summed row by row.
+
+        Adding left to right is what keeps the batch exact:
+        ``np.add.accumulate`` for the observed columns, and :func:`_sums`
+        for the committed ones.
+        """
         node = self.node
-        n_stack, rapl0, ac_col = self._n_stack, self._rapl0, self._ac_col
+        n_stack, ac_col = self._n_stack, self._ac_col
         acc = self._buf[:len(seg_times) + 1]
-        dt_ns = np.empty_like(seg_times)
-        dt_ns[0] = seg_times[0] - now
-        np.subtract(seg_times[1:], seg_times[:-1], out=dt_ns[1:])
+        dt_ns = np.array([t1 - t0 for t0, t1 in zip([now, *seg_times],
+                                                    seg_times)])
         dt_s = dt_ns / NS_PER_S
 
         # Row 0: the live accumulators.
-        acc[0, :n_stack] = node.counter_stack_flat
-        start = []
-        for socket in node.sockets:
-            start += socket.scalar_accumulators()
         row0 = acc[0]
+        row0[:n_stack] = node.counter_stack_flat
+        start = []
+        rated = []
         dc_w = 0.0
-        for sid, socket_rates in enumerate(rates):
-            lo = n_stack + _N_RATED * sid
-            row0[lo:lo + _N_RATED] = start[7 * sid:7 * sid + _N_RATED]
-            row0[rapl0 + 2 * sid] = start[7 * sid + 5]
-            row0[rapl0 + 2 * sid + 1] = start[7 * sid + 6]
+        for socket, socket_rates in zip(node.sockets, rates):
+            start += socket.scalar_accumulators()
+            rated += socket.scalar_rates(socket_rates)
+            rated += rated[-2:]         # RAPL: package, DRAM energy
             dc_w += socket_rates.dc_w
-        row0[ac_col] = node.ac_energy_j
+        start.append(node.ac_energy_j)
+        row0[n_stack:] = start
 
-        # Rows 1..K: the per-segment increments, each the product the
-        # per-segment path forms (rate * dt_s, RAPL through its backend,
-        # wall energy as ac_w * dt_ns / NS_PER_S).
+        # Rows 1..K: the increments.
         dt_col = dt_s[:, None]
         np.multiply(dt_col, node.rate_stack_flat, out=acc[1:, :n_stack])
-        rated = []
-        for socket, socket_rates in zip(node.sockets, rates):
-            rated += socket.scalar_rates(socket_rates)
-        np.multiply(dt_col, rated, out=acc[1:, n_stack:rapl0])
+        np.multiply(dt_col, rated, out=acc[1:, n_stack:ac_col])
         for sid, (socket, socket_rates) in enumerate(zip(node.sockets,
                                                          rates)):
-            lo = n_stack + _N_RATED * sid + 3     # package, DRAM energy
-            acc[1:, rapl0 + 2 * sid:rapl0 + 2 * sid + 2] = \
-                socket.rapl.backend.accumulate(acc[1:, lo:lo + 2],
-                                               socket_rates.bias)
+            lo = n_stack + _N_SCALARS * sid
+            energy = acc[1:, lo + 3:lo + 5]
+            rapl = socket.rapl.backend.accumulate(energy, socket_rates.bias)
+            if rapl is not energy:      # a measuring backend passes through
+                acc[1:, lo + 5:lo + 7] = rapl
         acc[1:, ac_col] = node.psu.ac_power_w(dc_w) * dt_ns / NS_PER_S
-        np.add.accumulate(acc, axis=0, out=acc)
-        return acc
+        observed = acc[:, self._observed]
+        np.add.accumulate(observed, axis=0, out=observed)
+        return acc, observed
 
     # ---- the ordered walk -----------------------------------------------------
 
-    def _walk(self, streams: list[_Stream], index: np.ndarray,
-              rows: np.ndarray, times: np.ndarray, acc: np.ndarray,
+    def _walk(self, streams: list[_Stream], index: list[int],
+              rows: list[int], times: list[int], observed: np.ndarray,
               reason: str) -> tuple[int, str]:
         """Carry out the folded events in firing order; returns how many
         are committed and the stop reason.
@@ -440,48 +488,42 @@ class Horizon:
         """
         node = self.node
         pcus = node.pcus
-        committed = len(index)
-        order = index.argsort(kind="stable")
-        bounds = np.bincount(index, minlength=len(streams)).cumsum().tolist()
-        lo = 0
-        polls = []
-        for stream, hi in zip(streams, bounds):
-            stream.at = order[lo:hi]
-            if stream.kind == _POLL and hi > lo:
-                polls.append(stream)
-            lo = hi
+        committed = len(rows)
+        polls = [s for s in streams if s.kind == _POLL and s.pos]
         # The aligned series poll at the same rows: one gather and one
         # row sum serve every socket (else one of each per socket).
-        poll_rows = [rows[stream.at] for stream in polls]
-        shared = all(np.array_equal(poll_rows[0], r) for r in poll_rows[1:])
+        poll_rows = [[rows[k] for k in stream.pos] for stream in polls]
+        shared = all(r == poll_rows[0] for r in poll_rows[1:])
         n_cores = self._n_cores
+        width = 2 * n_cores
         samples = []
         for k, stream in enumerate(polls):
             if k == 0 or not shared:
-                width = 2 * n_cores
-                cols = (self._eet_cols if shared else self._eet_cols[
-                    width * stream.sid:width * (stream.sid + 1)])
-                picked = acc[poll_rows[k][:, None], cols]
+                if shared:
+                    picked = observed[poll_rows[k], :self._n_eet]
+                else:
+                    lo = width * stream.sid
+                    picked = observed[poll_rows[k], lo:lo + width]
                 sums = picked.reshape(len(picked), -1, n_cores).sum(axis=2)
             pair = 2 * stream.sid if shared else 0
             cycles, stall = sums[:, pair], sums[:, pair + 1]
             pcu = pcus[stream.sid]
             fractions = pcu.eet_fractions(stall, cycles)
             moved = pcu.eet.first_change(fractions, pcu.epb)
-            if moved < len(stream.at) and stream.at[moved] < committed:
-                committed, reason = int(stream.at[moved]) + 1, "trim_change"
-            samples.append((pcu, stream.at, stall, cycles, fractions))
-        for pcu, at, stall, cycles, fractions in samples:
-            n = int(at.searchsorted(committed))
+            if moved < len(stream.pos) and stream.pos[moved] < committed:
+                committed, reason = stream.pos[moved] + 1, "trim_change"
+            samples.append((pcu, stream.pos, stall, cycles, fractions))
+        for pcu, pos, stall, cycles, fractions in samples:
+            n = bisect.bisect_left(pos, committed)
             if n:
                 pcu.eet_commit(stall[:n], cycles[:n], fractions[:n])
 
         ledgered = pcus[0].draws_ledgered
         for stream in streams:
-            at = stream.at
-            if len(at) and at[-1] >= committed:
-                at = stream.at = at[:at.searchsorted(committed)]
-            stream.fired = n = len(at)
+            pos = stream.pos
+            if pos and pos[-1] >= committed:
+                del pos[bisect.bisect_left(pos, committed):]
+            stream.fired = n = len(pos)
             if not n:
                 continue
             if stream.kind == _TICK:
@@ -492,48 +534,47 @@ class Horizon:
             elif stream.kind == _REFRESH:
                 # Only the last latch survives; every refresh still
                 # emits its record when the trace wants them.
-                latch = at if node.sim.trace.wants("rapl-update") \
-                    else at[-1:]
-                self._latch(acc, rows[latch], times[latch])
+                latch = pos if node.sim.trace.wants("rapl-update") \
+                    else pos[-1:]
+                self._latch(observed, [rows[k] for k in latch],
+                            [times[k] for k in latch])
         if ledgered:
             # One draw record per tick, across sockets in firing order.
-            for i in index[:committed].tolist():
+            for i in index[:committed]:
                 if streams[i].kind == _TICK:
                     pcus[streams[i].sid].commit_draws(1)
         return committed, reason
 
-    def _latch(self, acc: np.ndarray, rows: np.ndarray,
-               times: np.ndarray) -> None:
+    def _latch(self, observed: np.ndarray, rows: list[int],
+               times: list[int]) -> None:
         """RAPL refreshes at ``times``, from the accumulated ``rows``."""
         node = self.node
-        rapl0 = self._rapl0
         n_sockets = len(node.sockets)
-        for row, t in zip(rows.tolist(), times.tolist()):
-            energy = acc[row, rapl0:rapl0 + 2 * n_sockets].tolist()
+        lo = self._n_eet
+        for row, t in zip(rows, times):
+            energy = observed[row, lo:lo + 2 * n_sockets].tolist()
             node.latch_rapl(t, [(energy[2 * sid], energy[2 * sid + 1])
                                 for sid in range(n_sockets)])
 
     # ---- commit -----------------------------------------------------------------
 
-    def _commit(self, streams: list[_Stream], acc: np.ndarray, row: int,
+    def _commit(self, streams: list[_Stream], final: np.ndarray,
                 dt_ns: int) -> None:
-        """Store the accumulators at ``row``, re-select the MBVR state as
-        the last folded tick did, and push the successors of the fired
-        events in the order their predecessors fired."""
+        """Store the committed sums, re-select the MBVR state as the last
+        folded tick did, and push the successors of the fired events in
+        the order their predecessors fired."""
         node = self.node
         pcus = node.pcus
-        n_stack, rapl0 = self._n_stack, self._rapl0
-        values = acc[row].tolist()
-        node.store_counter_stack(acc[row, :n_stack], dt_ns)
+        n_stack = self._n_stack
+        values = final.tolist()
+        node.store_counter_stack(final[:n_stack], dt_ns)
         for sid, socket in enumerate(node.sockets):
-            lo = n_stack + _N_RATED * sid
-            socket.fold_segments(
-                values[lo:lo + _N_RATED]
-                + values[rapl0 + 2 * sid:rapl0 + 2 * sid + 2], dt_ns)
+            lo = n_stack + _N_SCALARS * sid
+            socket.fold_segments(values[lo:lo + _N_SCALARS], dt_ns)
         node.ac_energy_j = values[self._ac_col]
 
         fired = sorted((s for s in streams if s.fired),
-                       key=lambda s: int(s.at[-1]))
+                       key=lambda s: s.pos[-1])
         ticks = [s for s in fired if s.kind == _TICK]
         if ticks:
             pcus[ticks[-1].sid].select_mbvr_state()
@@ -545,8 +586,8 @@ class Horizon:
 
     # ---- sanitize ---------------------------------------------------------------
 
-    def _check(self, acc: np.ndarray, row: int, now: int,
-               seg_times: np.ndarray, rates: list) -> None:
+    def _check(self, acc: np.ndarray, final: np.ndarray, row: int, now: int,
+               seg_times: list[int], rates: list) -> None:
         """Sanitize mode: on every ``EPOCH_CHECK_STRIDE``-th horizon,
         recompute the committed accumulators from the sockets' cached
         rates with a scalar left-to-right loop over the segments.
@@ -561,12 +602,12 @@ class Horizon:
             return
         self.sanitize_checks += 1
         node = self.node
-        n_stack, rapl0, ac_col = self._n_stack, self._rapl0, self._ac_col
+        n_stack, ac_col = self._n_stack, self._ac_col
         n_fields, n_cores = node.counter_stack_shape[1:]
-        times = [now, *seg_times[:row].tolist()]
+        times = [now, *seg_times[:row]]
         dts = [(t1 - t0) for t0, t1 in zip(times, times[1:])]
         start = acc[0].tolist()
-        got = acc[row].tolist()
+        got = final.tolist()
 
         def scalar_sum(col: int, increments) -> None:
             total = start[col]
@@ -588,18 +629,15 @@ class Horizon:
                     rate = float(matrix[field, core])
                     scalar_sum((sid * n_fields + field) * n_cores + core,
                                (rate * (dt / NS_PER_S) for dt in dts))
-            lo = n_stack + _N_RATED * sid
-            for j, rate in enumerate(socket.scalar_rates(socket_rates)):
+            lo = n_stack + _N_SCALARS * sid
+            rated = socket.scalar_rates(socket_rates)
+            for j, rate in enumerate(rated):
                 scalar_sum(lo + j, (rate * (dt / NS_PER_S) for dt in dts))
             backend = socket.rapl.backend
-            pkg_w, dram_w = socket.scalar_rates(socket_rates)[3:]
-            scalar_sum(rapl0 + 2 * sid, (
-                backend.accumulate(pkg_w * (dt / NS_PER_S), socket_rates.bias)
-                for dt in dts))
-            scalar_sum(rapl0 + 2 * sid + 1, (
-                backend.accumulate(dram_w * (dt / NS_PER_S),
-                                   socket_rates.bias)
-                for dt in dts))
+            for j, rate in enumerate(rated[3:]):
+                scalar_sum(lo + 5 + j, (
+                    backend.accumulate(rate * (dt / NS_PER_S),
+                                       socket_rates.bias) for dt in dts))
             dc_w += socket_rates.dc_w
         ac_w = node.psu.ac_power_w(dc_w)
         scalar_sum(ac_col, (ac_w * dt / NS_PER_S for dt in dts))

@@ -15,6 +15,7 @@ Three properties guard the optimization (docs/performance.md):
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -230,10 +231,10 @@ class TestFastSlowParity:
 # ---- 2b. long windows: replay plan and node-wide accumulate -----------------
 
 
-def _table5_run(fastpath: bool) -> tuple[list, list[dict]]:
+def _table5_run(fastpath: bool) -> tuple[list, list[dict], list[Node]]:
     """Short TDP-bound Table V cells (FIRESTARTER, LINPACK, mprime on
-    all cores, turbo, EPB balanced): the cells plus each cell node's
-    full surface."""
+    all cores, turbo, EPB balanced): the cells, each cell node's full
+    surface, and the nodes."""
     nodes: list[Node] = []
 
     def capture(_sim, node):
@@ -247,12 +248,13 @@ def _table5_run(fastpath: bool) -> tuple[list, list[dict]]:
     finally:
         buildhooks.unregister(capture)
         fastpath_mod.set_enabled(None)
-    return result.cells, [_surface(n) for n in nodes]
+    return result.cells, [_surface(n) for n in nodes], nodes
 
 
 def _steady_node_run(fastpath: bool, spec=HASWELL_TEST_NODE,
-                     chaos_seed: int | None = None) -> dict:
-    """FIRESTARTER on every core for 400 ms (optionally chaos-armed)."""
+                     chaos_seed: int | None = None) -> tuple[dict, Node]:
+    """FIRESTARTER on every core for 400 ms (optionally chaos-armed):
+    the node's surface, and the node."""
     if chaos_seed is not None:
         chaos.activate(chaos_seed)
     try:
@@ -264,13 +266,13 @@ def _steady_node_run(fastpath: bool, spec=HASWELL_TEST_NODE,
     node.set_fastpath(fastpath)
     node.run_workload([c.core_id for c in node.all_cores], firestarter())
     sim.run_for(ms(400))
-    return _surface(node)
+    return _surface(node), node
 
 
 class TestLongWindowParity:
     def test_table5_cells_and_counters_bit_identical(self):
-        fast_cells, fast = _table5_run(fastpath=True)
-        slow_cells, slow = _table5_run(fastpath=False)
+        fast_cells, fast, fast_nodes = _table5_run(fastpath=True)
+        slow_cells, slow, slow_nodes = _table5_run(fastpath=False)
         assert [c.workload for c in fast_cells] == \
             ["FIRESTARTER", "LINPACK", "mprime"]
         assert fast_cells == slow_cells
@@ -279,16 +281,24 @@ class TestLongWindowParity:
             mismatched = _mismatches(f, s)
             assert not mismatched, \
                 f"{cell.workload}: fast path diverged on {mismatched}"
+        # stepping engaged on every fast cell, never on the reference
+        for node in fast_nodes:
+            ticks = sum(p.tick_count for p in node.pcus)
+            assert node.horizon_stats.ticks > ticks // 2
+        assert all(n.horizon_stats.taken == 0 for n in slow_nodes)
 
     def test_sandy_bridge_node_bit_identical(self):
+        """Modeled RAPL backend: the batch forms its RAPL increments
+        through it (energy times the workload bias)."""
         assert SANDY_BRIDGE_TEST_NODE.cpu.pcu_quantum_ns == 0
-        fast = _steady_node_run(True, SANDY_BRIDGE_TEST_NODE)
-        slow = _steady_node_run(False, SANDY_BRIDGE_TEST_NODE)
+        fast, node = _steady_node_run(True, SANDY_BRIDGE_TEST_NODE)
+        slow, _ = _steady_node_run(False, SANDY_BRIDGE_TEST_NODE)
         assert not _mismatches(fast, slow)
+        assert node.horizon_stats.taken > 0
 
     def test_chaos_armed_node_bit_identical(self):
-        fast = _steady_node_run(True, chaos_seed=20150406)
-        slow = _steady_node_run(False, chaos_seed=20150406)
+        fast, _ = _steady_node_run(True, chaos_seed=20150406)
+        slow, _ = _steady_node_run(False, chaos_seed=20150406)
         assert not _mismatches(fast, slow)
 
     def test_steady_replay_writes_nothing_and_skips_decide(self,
@@ -477,6 +487,52 @@ class TestHorizonStepping:
         _assert_parity(fast, slow)
         assert node.horizon_stats.taken > 0
 
+    def test_ticks_tied_with_the_1ms_series(self, monkeypatch):
+        """Zero tick jitter and both tick chains moved onto whole
+        milliseconds: every other tick lands on the nanosecond of the
+        EET polls and the RAPL refresh. The batch merge falls back to
+        the general (time, seq) replay and still fires in queue order."""
+        monkeypatch.setattr(pcu_mod, "TICK_JITTER_NS", 0)
+
+        def drive(sim, node):
+            sim.run_for(ms(60))
+            for p in node.pcus:
+                p.reschedule_tick((sim.now_ns // ms(1) + 1) * ms(1))
+            sim.run_for(ms(200))
+        fast, slow, node = _stepping_pair(drive)
+        _assert_parity(fast, slow)
+        assert node.horizon_stats.taken > 0
+
+    def test_sort_merge_agrees_with_the_general_merge(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            seq = iter(rng.permutation(1000).tolist())
+            streams = []
+            for sid in range(2):
+                first = int(rng.integers(1, 600))
+                steps = rng.integers(450, 550, size=int(rng.integers(1, 30)))
+                ticks = np.concatenate(([first], first + np.cumsum(steps)))
+                event = SimpleNamespace(time_ns=first, seq=next(seq))
+                streams.append(horizon_mod._Stream(
+                    horizon_mod._TICK, sid, event, ticks=ticks))
+            first = int(rng.integers(1, 1000))
+            periodic = [horizon_mod._Stream(
+                kind, sid, SimpleNamespace(time_ns=first, seq=next(seq)),
+                task=SimpleNamespace(period_ns=1000))
+                for kind, sid in ((horizon_mod._POLL, 0),
+                                  (horizon_mod._POLL, 1),
+                                  (horizon_mod._REFRESH, -1))]
+            streams += sorted(periodic, key=lambda s: s.event.seq)
+            end = int(rng.integers(1000, 15000))
+            for stream in streams:
+                stream.count_before(end)
+            if not sum(stream.count for stream in streams):
+                continue
+            fast = horizon_mod._merge(streams)
+            general = horizon_mod._merge_by_rank(streams)
+            assert np.array_equal(fast[0], general[0])
+            assert np.array_equal(fast[1], general[1])
+
     def test_phase_churn_never_arms(self):
         sim, node = build_haswell_node(seed=5153)
         node.run_workload([c.core_id for c in node.all_cores],
@@ -536,8 +592,11 @@ class TestBatchedAccumulate:
         sequential = _surface(node)
         self._restore(node, saved)
         horizon = node.horizon
-        acc = horizon._accumulate(now, seg_times, rates)
-        horizon._commit([], acc, len(lengths), int(seg_times[-1]) - now)
+        acc, observed = horizon._accumulate(now, seg_times.tolist(), rates)
+        final = horizon_mod._sums(acc, len(lengths))
+        horizon._commit([], final, int(seg_times[-1]) - now)
+        # the observed (row-by-row) columns end where the sums end
+        assert np.array_equal(observed[-1], final[horizon._observed])
         batched = _surface(node)
         self._restore(node, saved)
         assert not _mismatches(batched, sequential)
