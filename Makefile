@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint sanitize-smoke conformance coverage bench bench-simcore bench-check bench-full chaos chaos-smoke hostif-smoke fleet-smoke service-smoke experiments examples clean
+.PHONY: install test lint sanitize-smoke conformance paper-claims coverage bench bench-simcore bench-check bench-full chaos chaos-smoke hostif-smoke fleet-smoke service-smoke experiments examples clean
 
 # Minimum line-coverage percentage for the `coverage` gate.
 COVERAGE_FLOOR ?= 70
@@ -104,6 +104,13 @@ service-smoke:
 
 experiments:
 	$(PYTHON) scripts/generate_experiments_md.py
+
+# Paper-claims gate: regenerate EXPERIMENTS.md into a temporary file;
+# fail on any claim that is not ok or on any byte difference from the
+# committed file (run `make experiments` and commit after a change that
+# moves a reported number).
+paper-claims:
+	$(PYTHON) scripts/generate_experiments_md.py --check
 
 examples:
 	@for script in examples/*.py; do \

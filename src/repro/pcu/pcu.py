@@ -135,7 +135,7 @@ class Pcu:
         self._tick_event = None
         self._eet_task = None
         self.held = False
-        self._peek_memo: tuple | None = None   # see peek_ticks
+        self._peek_memo: list | None = None    # see peek_ticks
 
     # ---- lifecycle -------------------------------------------------------------
 
@@ -279,51 +279,59 @@ class Pcu:
         draw buffer would refill or retune first. Only valid while
         :meth:`horizon_ready`.
 
-        One speculation covers the rest of the buffers; later calls under
-        an equal plan slice it where the buffers have got to since.
+        One speculation covers the rest of the buffers; later calls slice
+        it where the buffers have got to since (the tick times and
+        ceilings while the operating point holds, the plan checks while
+        the grant pairs do too).
         """
         plan = self._plan
+        point = plan.point
         spread = TICK_JITTER_NS + self.extra_tick_jitter_ns
         jitter_at = self._jitter_batch.position
         dither_at = self._dither_batch.position
         memo = self._peek_memo
-        if memo is not None and memo[1] == spread and memo[0] == plan:
-            _, _, memo_jitter, memo_dither, times, f_core, breaks = memo
-            skip = jitter_at[1] - memo_jitter[1]
-            if (jitter_at[0] == memo_jitter[0] and 0 <= skip < len(times)
-                    and (not plan.point.tdp_bound
-                         or (dither_at[0] == memo_dither[0] and
-                             dither_at[1] - memo_dither[1] == skip))
+        skip = -1
+        if (memo is not None and memo[0] == point and memo[1] == spread
+                and memo[2][0] == jitter_at[0]):
+            skip = jitter_at[1] - memo[2][1]
+            times = memo[4]
+            if not (0 <= skip < len(times)
+                    and (not point.tdp_bound
+                         or dither_at == (memo[3][0], memo[3][1] + skip))
                     and times[skip] == self._tick_event.time_ns):
-                first = breaks.searchsorted(skip)
-                n_held = (int(breaks[first]) if first < len(breaks)
-                          else len(f_core)) - skip
-                return (times[skip:skip + n + 1], f_core[skip:skip + n],
-                        min(n_held, n))
-        point = plan.point
-        jitter = self._jitter_batch.peek(_PEEK_ALL, -spread, spread + 1)
-        if point.tdp_bound:
-            draws = self._dither_batch.peek(len(jitter), *DITHER_ARGS)
-            jitter = jitter[:len(draws)]
-        else:
-            draws = jitter
-        f_core = self.limiter.dither_many(point, draws)
-        holds = np.ones(len(f_core), dtype=bool)
-        threshold = self._APPLY_THRESHOLD_HZ
-        for target, freq in plan.pairs:
-            holds &= np.abs(np.minimum(target, f_core) - freq) < threshold
-        breaks = (~holds).nonzero()[0]
-        quantum = self.spec.pcu_quantum_ns or us(500)
-        times = np.empty(len(f_core) + 1, dtype=np.int64)
-        times[0] = self._tick_event.time_ns
-        steps = times[1:]
-        np.add(jitter, quantum, out=steps)
-        np.maximum(steps, 1, out=steps)
-        np.add.accumulate(times, out=times)
-        self._peek_memo = (plan, spread, jitter_at, dither_at, times, f_core,
-                           breaks)
-        n_held = int(breaks[0]) if len(breaks) else len(f_core)
-        return times[:n + 1], f_core[:n], min(n_held, n)
+                skip = -1
+        if skip < 0:
+            jitter = self._jitter_batch.peek(_PEEK_ALL, -spread, spread + 1)
+            if point.tdp_bound:
+                draws = self._dither_batch.peek(len(jitter), *DITHER_ARGS)
+                jitter = jitter[:len(draws)]
+            else:
+                draws = jitter
+            quantum = self.spec.pcu_quantum_ns or us(500)
+            times = np.empty(len(jitter) + 1, dtype=np.int64)
+            times[0] = self._tick_event.time_ns
+            steps = times[1:]
+            np.add(jitter, quantum, out=steps)
+            np.maximum(steps, 1, out=steps)
+            np.add.accumulate(times, out=times)
+            memo = self._peek_memo = [
+                point, spread, jitter_at, dither_at, times,
+                self.limiter.dither_many(point, draws), None, None]
+            skip = 0
+        f_core = memo[5]
+        if memo[6] != plan.pairs:
+            holds = np.ones(len(f_core), dtype=bool)
+            threshold = self._APPLY_THRESHOLD_HZ
+            for target, freq in plan.pairs:
+                holds &= np.abs(np.minimum(target, f_core) - freq) < threshold
+            memo[6] = plan.pairs
+            memo[7] = (~holds).nonzero()[0]
+        breaks = memo[7]
+        first = breaks.searchsorted(skip)
+        n_held = (int(breaks[first]) if first < len(breaks)
+                  else len(f_core)) - skip
+        return (memo[4][skip:skip + n + 1], f_core[skip:skip + n],
+                min(n_held, n))
 
     def fold_ticks(self, times: np.ndarray, f_core: np.ndarray) -> None:
         """Carry out held ticks a stepper folded (at ``times``, under the
@@ -336,8 +344,8 @@ class Pcu:
             for ceiling in f_core.tolist():
                 self._check_plan(self._plan, ceiling)
 
-    def eet_fractions(self, stall: np.ndarray,
-                      cycles: np.ndarray) -> np.ndarray:
+    def eet_fractions(self, cycles: np.ndarray,
+                      stall: np.ndarray) -> np.ndarray:
         """The windowed stall fractions successive polls reading these
         totals would compute (:meth:`_stall_fraction_windowed` as one
         vector expression, no state change)."""

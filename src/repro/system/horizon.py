@@ -110,7 +110,7 @@ class _Stream:
     draws) or a periodic series (``first + k * period``)."""
 
     __slots__ = ("kind", "sid", "event", "task", "first", "period", "ticks",
-                 "f_core", "count", "pos", "fired")
+                 "f_core", "count", "pos", "rows", "fired")
 
     def __init__(self, kind: int, sid: int, event, task=None,
                  ticks: np.ndarray | None = None,
@@ -125,6 +125,7 @@ class _Stream:
         self.f_core = f_core        # each tick's dithered ceiling
         self.count = 0              # candidate events before the end
         self.pos: list[int] = []    # their positions in firing order
+        self.rows: list[int] = []   # and the accumulated rows they read
         self.fired = 0              # events in the committed prefix
 
     def count_before(self, end: int) -> int:
@@ -258,19 +259,22 @@ class Horizon:
         # scalar accumulators, wall energy.
         self._n_stack = n_stack
         self._ac_col = n_stack + _N_SCALARS * n_sockets
-        self._buf = np.empty((MAX_SEGMENTS + 1, self._ac_col + 1))
         # The columns read mid-batch, accumulated row by row: what an
         # EET poll sums (per socket, its aperf row then its stall row)
         # and the RAPL pairs a refresh latches. Every other column only
         # needs its sum at the committed row.
         self._n_cores = n_cores
         self._n_eet = 2 * n_cores * n_sockets
+        self._all_sids = tuple(range(n_sockets))
         self._observed = np.array(
             [(sid * n_fields + row) * n_cores + core
              for sid in range(n_sockets) for row in (_ROW_APERF, _ROW_STALL)
              for core in range(n_cores)]
             + [n_stack + _N_SCALARS * sid + j
                for sid in range(n_sockets) for j in (5, 6)], dtype=np.intp)
+        # each socket's EET columns within the observed block
+        self._eet_cols = [np.arange(2 * n_cores * sid, 2 * n_cores * (sid + 1))
+                          for sid in range(n_sockets)]
         # A short batch declined: nothing can fold before this time.
         self._skip_until = -1
         self._sanitize_horizons = 0
@@ -321,22 +325,25 @@ class Horizon:
         # 2. merge; number the segments, capped at MAX_SEGMENTS
         index, times = _merge(streams)
         now = sim.now_ns
-        rows: list[int] = []
+        rows: list[int] = []        # accumulated row each event reads
         seg_times: list[int] = []
         last = now
-        for t in times:
+        row = 0
+        for k, t in enumerate(times):
             if t != last:
-                if len(seg_times) == MAX_SEGMENTS:
+                if row == MAX_SEGMENTS:
                     reason = "cap"
                     break
                 seg_times.append(t)
                 last = t
-            rows.append(len(seg_times))
+                row += 1
+            rows.append(row)
+            stream = streams[index[k]]
+            stream.pos.append(k)
+            stream.rows.append(row)
         if len(rows) < MIN_FOLD_EVENTS:
             self._decline(end, limit_ns)
             return
-        for k, i in enumerate(index[:len(rows)]):
-            streams[i].pos.append(k)
 
         # 3. accumulate; 4. walk; 5. commit
         sanitized = any(s.sanitize_enabled for s in node.sockets)
@@ -437,7 +444,7 @@ class Horizon:
         """
         node = self.node
         n_stack, ac_col = self._n_stack, self._ac_col
-        acc = self._buf[:len(seg_times) + 1]
+        acc = np.empty((len(seg_times) + 1, ac_col + 1))
         dt_ns = np.array([t1 - t0 for t0, t1 in zip([now, *seg_times],
                                                     seg_times)])
         dt_s = dt_ns / NS_PER_S
@@ -491,28 +498,29 @@ class Horizon:
         committed = len(rows)
         polls = [s for s in streams if s.kind == _POLL and s.pos]
         # The aligned series poll at the same rows: one gather and one
-        # row sum serve every socket (else one of each per socket).
-        poll_rows = [[rows[k] for k in stream.pos] for stream in polls]
-        shared = all(r == poll_rows[0] for r in poll_rows[1:])
+        # row sum serve every socket (else one group per socket).
+        if all(stream.rows == polls[0].rows for stream in polls):
+            groups = [polls] if polls else []
+        else:
+            groups = [[stream] for stream in polls]
         n_cores = self._n_cores
-        width = 2 * n_cores
         samples = []
-        for k, stream in enumerate(polls):
-            if k == 0 or not shared:
-                if shared:
-                    picked = observed[poll_rows[k], :self._n_eet]
-                else:
-                    lo = width * stream.sid
-                    picked = observed[poll_rows[k], lo:lo + width]
-                sums = picked.reshape(len(picked), -1, n_cores).sum(axis=2)
-            pair = 2 * stream.sid if shared else 0
-            cycles, stall = sums[:, pair], sums[:, pair + 1]
-            pcu = pcus[stream.sid]
-            fractions = pcu.eet_fractions(stall, cycles)
-            moved = pcu.eet.first_change(fractions, pcu.epb)
-            if moved < len(stream.pos) and stream.pos[moved] < committed:
-                committed, reason = stream.pos[moved] + 1, "trim_change"
-            samples.append((pcu, stream.pos, stall, cycles, fractions))
+        for group in groups:
+            sids = tuple(stream.sid for stream in group)
+            if sids == self._all_sids:
+                picked = observed[group[0].rows, :self._n_eet]
+            else:
+                cols = np.concatenate([self._eet_cols[sid] for sid in sids])
+                picked = observed[np.array(group[0].rows)[:, None], cols]
+            sums = picked.reshape(len(picked), -1, n_cores).sum(axis=2)
+            for j, stream in enumerate(group):
+                pcu = pcus[stream.sid]
+                cycles, stall = sums[:, 2 * j], sums[:, 2 * j + 1]
+                fractions = pcu.eet_fractions(cycles, stall)
+                first = pcu.eet.first_change(fractions, pcu.epb)
+                if first < len(stream.pos) and stream.pos[first] < committed:
+                    committed, reason = stream.pos[first] + 1, "trim_change"
+                samples.append((pcu, stream.pos, stall, cycles, fractions))
         for pcu, pos, stall, cycles, fractions in samples:
             n = bisect.bisect_left(pos, committed)
             if n:
@@ -523,6 +531,7 @@ class Horizon:
             pos = stream.pos
             if pos and pos[-1] >= committed:
                 del pos[bisect.bisect_left(pos, committed):]
+                del stream.rows[len(pos):]
             stream.fired = n = len(pos)
             if not n:
                 continue
@@ -534,10 +543,9 @@ class Horizon:
             elif stream.kind == _REFRESH:
                 # Only the last latch survives; every refresh still
                 # emits its record when the trace wants them.
-                latch = pos if node.sim.trace.wants("rapl-update") \
-                    else pos[-1:]
-                self._latch(observed, [rows[k] for k in latch],
-                            [times[k] for k in latch])
+                every = node.sim.trace.wants("rapl-update")
+                self._latch(observed, stream.rows if every else stream.rows[-1:],
+                            [times[k] for k in (pos if every else pos[-1:])])
         if ledgered:
             # One draw record per tick, across sockets in firing order.
             for i in index[:committed]:
