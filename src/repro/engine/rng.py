@@ -127,8 +127,10 @@ class DrawBatch:
         next ``take``/``commit``.
         """
         prefill = self._prefill
-        if prefill is None or args != self._prefill_args:
+        if prefill is None:
             return _NO_DRAWS
+        if args != self._prefill_args:
+            return prefill[:0]
         cursor = self._prefill_cursor
         return prefill[cursor:cursor + n]
 

@@ -461,11 +461,16 @@ class TestHorizonStepping:
 
     def test_chaos_armed_node_declines(self):
         """While a fault hook is registered (here an LMG450 dropout
-        window) the stepper declines every offer; outside it, it steps."""
+        window) the stepper declines every offer; outside it, it steps.
+        A PCU jitter window later widens and restores the tick spread,
+        so the jitter buffer retunes twice under a held node."""
         window = (ms(100), ms(200))
         plan = FaultPlan(seed=1, horizon_ns=ms(400), events=(
             FaultEvent(window[0], FaultKind.LMG_DROPOUT,
-                       (("duration_ns", window[1] - window[0]),)),))
+                       (("duration_ns", window[1] - window[0]),)),
+            FaultEvent(ms(250), FaultKind.PCU_JITTER,
+                       (("duration_ns", ms(50)), ("extra_jitter_ns", 40_000),
+                        ("socket", 1))),))
 
         def drive(sim, node):
             FaultInjector(sim, node, plan).arm()
