@@ -130,8 +130,10 @@ class Pcu:
         self._plan: _ReplayPlan | None = None
         self._plan_ticks = 0     # plan-served ticks (sanitize sampling)
         # Horizon stepping (repro.system.horizon) folds ticks and EET
-        # polls by their handles; `held` says the last tick was a
-        # plan-served replay that wrote nothing.
+        # polls by their handles; `held` says the next tick replays the
+        # cached derivation through a built plan: the last tick was a
+        # write-free replay, or a write-free derivation while every
+        # other PCU of the node was held.
         self._tick_event = None
         self._eet_task = None
         self.held = False
@@ -183,25 +185,17 @@ class Pcu:
     # ---- periodic work --------------------------------------------------------------
 
     def _eet_poll(self, _now_ns: int) -> None:
-        socket = self.socket
-        self.eet_sample(socket.counter_total("stall_cycles"),
-                        socket.counter_total("aperf"))
+        self.eet.poll(self._stall_fraction_windowed(), self.epb)
 
-    def eet_sample(self, stall: float, cycles: float) -> bool:
-        """One EET poll on the socket's stall-cycle and unhalted-cycle
-        totals; True when it moved the trim (and with it the control
-        key, so the next tick derives afresh)."""
-        before = self.eet.trim_hz
-        self.eet.poll(self._stall_fraction_windowed(stall, cycles), self.epb)
-        return self.eet.trim_hz != before
-
-    def _stall_fraction_windowed(self, stall: float, cycles: float) -> float:
+    def _stall_fraction_windowed(self) -> float:
         """Stall cycles over unhalted cycles since the previous poll.
 
         Hardware counts events over the interval; a phase that ended just
         before the poll still dominates the sample — the staleness that
         makes EET mis-clock fast phase-switchers (Section II-E).
         """
+        stall = self.socket.counter_total("stall_cycles")
+        cycles = self.socket.counter_total("aperf")
         d_stall = stall - self._eet_last_stall
         d_cycles = cycles - self._eet_last_cycles
         self._eet_last_stall = stall
@@ -251,9 +245,9 @@ class Pcu:
 
     def horizon_ready(self) -> bool:
         """True when the next tick is a replay of the cached derivation
-        whose plan writes nothing except through the dither: the last
-        tick held, no knob or epoch moved since, no apply is pending and
-        the uncore sits at its grant."""
+        whose plan writes nothing except through the dither: held, no
+        knob or epoch moved since, no apply is pending and the uncore
+        sits at its grant."""
         plan = self._plan
         if not (self.held and self.fastpath_enabled and plan is not None
                 and plan.pairs is not None) or self._pending_apply:
@@ -572,8 +566,6 @@ class Pcu:
                     self._replay_cached()
                     return
 
-        if self.held:
-            self._set_held(False)
         active = socket.active_cores()
         n_active = max(len(active), 1)
 
@@ -640,6 +632,16 @@ class Pcu:
         self._ctrl_ufs = ufs_target
         self._plan = None
         self._apply_decision(decision, targets)
+        if (not self._pending_apply and self._control_key() == key
+                and all(p.held for p in self.node.pcus if p is not self)):
+            # Nothing written: the next tick replays this derivation.
+            # With every other PCU of the node held, build its plan now
+            # and count as held, so a horizon can fold that tick.
+            plan = self._plan = self._build_plan()
+            if plan.pairs is not None:
+                self._set_held(True)
+        elif self.held:
+            self._set_held(False)
 
     def _apply_decision(self, decision: FrequencyDecision,
                         targets: dict[int, float]) -> None:

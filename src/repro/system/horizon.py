@@ -10,9 +10,9 @@ cached rates — yet each event used to be dispatched on its own, with
 the whole node integrated in between.
 
 :class:`Horizon` is the node's :attr:`~repro.engine.simulator.Simulator.
-stepper` while both PCUs are *held* (their last tick was a plan-served
-replay with no apply pending). Offered the clock before an event pops,
-it:
+stepper` while both PCUs are *held* (their next tick replays the cached
+derivation through a built plan, with no apply pending). Offered the
+clock before an event pops, it:
 
 1. **speculates** — peeks each PCU's dither and jitter buffers, derives
    the tick times and checks each tick's plan holds as vectors; the EET
@@ -253,8 +253,11 @@ class Horizon:
         self.horizon_stats = HorizonStats()
         self._step = self.step          # the bound method installed
         n_sockets = len(node.sockets)
-        n_fields, n_cores = node.counter_stack_shape[1:]
-        n_stack = node.counter_stack_size
+        # The node's stacks, flat: (socket, field, core) per column.
+        self._cnt_flat = node._cnt_stack.reshape(-1)
+        self._rate_flat = node._rate_stack.reshape(-1)
+        n_fields, n_cores = node._cnt_stack.shape[1:]
+        n_stack = node._cnt_stack.size
         # Accumulate buffer columns: the counter stack, each socket's
         # scalar accumulators, wall energy.
         self._n_stack = n_stack
@@ -311,7 +314,7 @@ class Horizon:
                 return
             socket_rates = pcu.socket.steady_rates(any_active)
             if socket_rates is None \
-                    or not node.integrates_from(sid, socket_rates):
+                    or node._stack_rates[sid] is not socket_rates:
                 return
             rates.append(socket_rates)
 
@@ -451,7 +454,7 @@ class Horizon:
 
         # Row 0: the live accumulators.
         row0 = acc[0]
-        row0[:n_stack] = node.counter_stack_flat
+        row0[:n_stack] = self._cnt_flat
         start = []
         rated = []
         dc_w = 0.0
@@ -465,7 +468,7 @@ class Horizon:
 
         # Rows 1..K: the increments.
         dt_col = dt_s[:, None]
-        np.multiply(dt_col, node.rate_stack_flat, out=acc[1:, :n_stack])
+        np.multiply(dt_col, self._rate_flat, out=acc[1:, :n_stack])
         np.multiply(dt_col, rated, out=acc[1:, n_stack:ac_col])
         for sid, (socket, socket_rates) in enumerate(zip(node.sockets,
                                                          rates)):
@@ -611,7 +614,7 @@ class Horizon:
         self.sanitize_checks += 1
         node = self.node
         n_stack, ac_col = self._n_stack, self._ac_col
-        n_fields, n_cores = node.counter_stack_shape[1:]
+        n_fields, n_cores = node._cnt_stack.shape[1:]
         times = [now, *seg_times[:row]]
         dts = [(t1 - t0) for t0, t1 in zip(times, times[1:])]
         start = acc[0].tolist()

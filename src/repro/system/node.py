@@ -163,30 +163,6 @@ class Node:
         self.sockets[sid]._check_epoch_consistency(rates)
         self._check_rate_stack(sid, rates)
 
-    def integrates_from(self, sid: int, rates) -> bool:
-        """True when the node's stacks mirror socket ``sid``'s ``rates``
-        (the next segment would install nothing)."""
-        return self._stack_rates[sid] is rates
-
-    @property
-    def counter_stack_shape(self) -> tuple[int, int, int]:
-        """``(sockets, fields, cores)`` of the node-wide counter stack."""
-        return self._cnt_stack.shape
-
-    @property
-    def counter_stack_size(self) -> int:
-        return self._cnt_stack.size
-
-    @property
-    def counter_stack_flat(self) -> np.ndarray:
-        """The counter stack as one flat view (socket, field, core)."""
-        return self._cnt_stack.reshape(-1)
-
-    @property
-    def rate_stack_flat(self) -> np.ndarray:
-        """The installed rates, laid out like :attr:`counter_stack_flat`."""
-        return self._rate_stack.reshape(-1)
-
     def store_counter_stack(self, values: np.ndarray, dt_ns: int) -> None:
         """Store the counters a batch of ``dt_ns`` of installed-rate
         segments accumulated, and advance every core's residency cell by

@@ -559,7 +559,7 @@ class TestBatchedAccumulate:
         sim.run_for(ms(60))
         any_active = node.any_core_active()
         rates = [s.steady_rates(any_active) for s in node.sockets]
-        assert all(r is not None and node.integrates_from(sid, r)
+        assert all(r is not None and node._stack_rates[sid] is r
                    for sid, r in enumerate(rates))
         return sim, node, rates
 
