@@ -632,8 +632,9 @@ class Pcu:
         self._ctrl_ufs = ufs_target
         self._plan = None
         self._apply_decision(decision, targets)
-        if (not self._pending_apply and self._control_key() == key
-                and all(p.held for p in self.node.pcus if p is not self)):
+        if (not self._pending_apply
+                and all(p.held for p in self.node.pcus if p is not self)
+                and self._control_key() == key):
             # Nothing written: the next tick replays this derivation.
             # With every other PCU of the node held, build its plan now
             # and count as held, so a horizon can fold that tick.
