@@ -81,7 +81,7 @@ class DrawBatch:
     """
 
     __slots__ = ("_parent", "_method", "_block", "_prefill",
-                 "_prefill_args", "_prefill_cursor", "_refills", "_site")
+                 "_prefill_args", "_prefill_cursor", "_site")
 
     def __init__(self, parent, method: str,
                  block: int = DRAW_BATCH_BLOCK) -> None:
@@ -93,7 +93,6 @@ class DrawBatch:
         self._prefill: np.ndarray | None = None
         self._prefill_args: tuple = ()
         self._prefill_cursor = 0
-        self._refills = 0
         self._site: str | None = None   # ledger site of the last take
 
     def take(self, *args):
@@ -107,7 +106,6 @@ class DrawBatch:
             prefill = self._prefill = getattr(bare, self._method)(
                 *args, size=self._block)
             self._prefill_args = args
-            self._refills += 1
             cursor = 0
         self._prefill_cursor = cursor + 1
         ledger = getattr(self._parent, "_ledger", None)
@@ -133,12 +131,6 @@ class DrawBatch:
             return prefill[:0]
         cursor = self._prefill_cursor
         return prefill[cursor:cursor + n]
-
-    @property
-    def position(self) -> tuple[int, int]:
-        """``(refills so far, cursor)``: two equal positions read the
-        same buffer, ``cursor`` apart."""
-        return self._refills, self._prefill_cursor
 
     @property
     def ledgered(self) -> bool:

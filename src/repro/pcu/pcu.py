@@ -42,8 +42,6 @@ if TYPE_CHECKING:
 TICK_JITTER_NS = us(10)
 # Recent tick times kept for tests/analysis (~2 s of quanta).
 TICK_HISTORY = 4096
-# Speculate over whatever is left of the draw buffers.
-_PEEK_ALL = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,6 @@ class Pcu:
         self._tick_event = None
         self._eet_task = None
         self.held = False
-        self._peek_memo: list | None = None    # see peek_ticks
 
     # ---- lifecycle -------------------------------------------------------------
 
@@ -272,60 +269,30 @@ class Pcu:
         (:meth:`_plan_holds`). Fewer than ``n`` ticks come back when a
         draw buffer would refill or retune first. Only valid while
         :meth:`horizon_ready`.
-
-        One speculation covers the rest of the buffers; later calls slice
-        it where the buffers have got to since (the tick times and
-        ceilings while the operating point holds, the plan checks while
-        the grant pairs do too).
         """
         plan = self._plan
         point = plan.point
         spread = TICK_JITTER_NS + self.extra_tick_jitter_ns
-        jitter_at = self._jitter_batch.position
-        dither_at = self._dither_batch.position
-        memo = self._peek_memo
-        skip = -1
-        if (memo is not None and memo[0] == point and memo[1] == spread
-                and memo[2][0] == jitter_at[0]):
-            skip = jitter_at[1] - memo[2][1]
-            times = memo[4]
-            if not (0 <= skip < len(times)
-                    and (not point.tdp_bound
-                         or dither_at == (memo[3][0], memo[3][1] + skip))
-                    and times[skip] == self._tick_event.time_ns):
-                skip = -1
-        if skip < 0:
-            jitter = self._jitter_batch.peek(_PEEK_ALL, -spread, spread + 1)
-            if point.tdp_bound:
-                draws = self._dither_batch.peek(len(jitter), *DITHER_ARGS)
-                jitter = jitter[:len(draws)]
-            else:
-                draws = jitter
-            quantum = self.spec.pcu_quantum_ns or us(500)
-            times = np.empty(len(jitter) + 1, dtype=np.int64)
-            times[0] = self._tick_event.time_ns
-            steps = times[1:]
-            np.add(jitter, quantum, out=steps)
-            np.maximum(steps, 1, out=steps)
-            np.add.accumulate(times, out=times)
-            memo = self._peek_memo = [
-                point, spread, jitter_at, dither_at, times,
-                self.limiter.dither_many(point, draws), None, None]
-            skip = 0
-        f_core = memo[5]
-        if memo[6] != plan.pairs:
-            holds = np.ones(len(f_core), dtype=bool)
-            threshold = self._APPLY_THRESHOLD_HZ
-            for target, freq in plan.pairs:
-                holds &= np.abs(np.minimum(target, f_core) - freq) < threshold
-            memo[6] = plan.pairs
-            memo[7] = (~holds).nonzero()[0]
-        breaks = memo[7]
-        first = breaks.searchsorted(skip)
-        n_held = (int(breaks[first]) if first < len(breaks)
-                  else len(f_core)) - skip
-        return (memo[4][skip:skip + n + 1], f_core[skip:skip + n],
-                min(n_held, n))
+        jitter = self._jitter_batch.peek(n, -spread, spread + 1)
+        if point.tdp_bound:
+            draws = self._dither_batch.peek(len(jitter), *DITHER_ARGS)
+            jitter = jitter[:len(draws)]
+        else:
+            draws = jitter
+        quantum = self.spec.pcu_quantum_ns or us(500)
+        times = np.empty(len(jitter) + 1, dtype=np.int64)
+        times[0] = self._tick_event.time_ns
+        steps = times[1:]
+        np.add(jitter, quantum, out=steps)
+        np.maximum(steps, 1, out=steps)
+        np.add.accumulate(times, out=times)
+        f_core = self.limiter.dither_many(point, draws)
+        holds = np.ones(len(f_core), dtype=bool)
+        threshold = self._APPLY_THRESHOLD_HZ
+        for target, freq in plan.pairs:
+            holds &= np.abs(np.minimum(target, f_core) - freq) < threshold
+        n_held = len(f_core) if holds.all() else int(holds.argmin())
+        return times, f_core, n_held
 
     def fold_ticks(self, times: np.ndarray, f_core: np.ndarray) -> None:
         """Carry out held ticks a stepper folded (at ``times``, under the

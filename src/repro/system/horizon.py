@@ -63,8 +63,11 @@ if TYPE_CHECKING:
 
 #: A batch folding fewer events than this is declined: short fleet and
 #: service nodes, and the gaps between close breaking events, pay only
-#: the entry check.
-MIN_FOLD_EVENTS = 8
+#: the entry check. The break-even on a Table V cell (see
+#: docs/performance.md): a batch costs ~230 us plus ~1.6 us per folded
+#: event, a held event dispatched on its own ~17 us, so batches pay
+#: from ~15 events.
+MIN_FOLD_EVENTS = 16
 #: Segments per batch: bounds the accumulate buffer. Batched
 #: accumulation beats per-segment integration from ~25 segments up.
 MAX_SEGMENTS = 100
@@ -155,9 +158,6 @@ class _Stream:
         return self.first + self.fired * self.period
 
 
-_NEVER = 1 << 63
-
-
 def _sums(acc: np.ndarray, row: int) -> np.ndarray:
     """Every accumulator after ``row`` segments: row 0 plus the first
     ``row`` increment rows, added row after row (a reduce along the
@@ -170,62 +170,10 @@ def _merge(streams: list[_Stream]) -> tuple[list[int], list[int]]:
     """Every counted event (:meth:`_Stream.count_before`) in firing
     order: ``(stream indices, times)``.
 
-    The queue fires in ``(time, seq)`` order, and a fired event's
-    successor gets the next seq — after everything already queued, in
-    firing order. In a node's steady phase that is a three-way merge: two
-    tick chains and the 1 ms series, which share one period and phase and
-    fire in pending-seq order (the order of ``streams``). Any other
-    shape — a tick on another event's exact nanosecond, misaligned
-    series — takes the general merge.
+    Replays the queue's ``(time, seq)`` order with a heap: a fired
+    event's successor gets the next seq — after everything already
+    queued, in firing order — so it ranks by its predecessor's firing.
     """
-    ticks = [s for s in streams if s.ticks is not None]
-    group = [i for i, s in enumerate(streams) if s.ticks is None and s.count]
-    if len(ticks) != 2 or len({(streams[i].first, streams[i].period)
-                               for i in group}) > 1:
-        return _merge_by_rank(streams)
-    a = ticks[0].times()
-    a.append(_NEVER)
-    b = ticks[1].times()
-    b.append(_NEVER)
-    if group:
-        lead = streams[group[0]]
-        grid = lead.times()
-    else:
-        grid = []
-    grid.append(_NEVER)
-    index: list[int] = []
-    times: list[int] = []
-    ia = ib = ig = 0
-    ta, tb, tg = a[0], b[0], grid[0]
-    while True:
-        t = min(ta, tb, tg)
-        if t == _NEVER:
-            return index, times
-        if t == ta:
-            if t == tb or t == tg:
-                return _merge_by_rank(streams)
-            index.append(0)
-            times.append(t)
-            ia += 1
-            ta = a[ia]
-        elif t == tb:
-            if t == tg:
-                return _merge_by_rank(streams)
-            index.append(1)
-            times.append(t)
-            ib += 1
-            tb = b[ib]
-        else:
-            for i in group:
-                index.append(i)
-                times.append(t)
-            ig += 1
-            tg = grid[ig]
-
-
-def _merge_by_rank(streams: list[_Stream]) -> tuple[list[int], list[int]]:
-    """The general merge: replay the queue's (time, seq) order with a
-    heap, ranking each successor by its predecessor's firing."""
     times_of = [s.times() for s in streams]
     heap = [(t[0], s.event.seq, i)
             for i, (s, t) in enumerate(zip(streams, times_of)) if t]
@@ -268,16 +216,12 @@ class Horizon:
         # needs its sum at the committed row.
         self._n_cores = n_cores
         self._n_eet = 2 * n_cores * n_sockets
-        self._all_sids = tuple(range(n_sockets))
         self._observed = np.array(
             [(sid * n_fields + row) * n_cores + core
              for sid in range(n_sockets) for row in (_ROW_APERF, _ROW_STALL)
              for core in range(n_cores)]
             + [n_stack + _N_SCALARS * sid + j
                for sid in range(n_sockets) for j in (5, 6)], dtype=np.intp)
-        # each socket's EET columns within the observed block
-        self._eet_cols = [np.arange(2 * n_cores * sid, 2 * n_cores * (sid + 1))
-                          for sid in range(n_sockets)]
         # A short batch declined: nothing can fold before this time.
         self._skip_until = -1
         self._sanitize_horizons = 0
@@ -499,31 +443,21 @@ class Horizon:
         node = self.node
         pcus = node.pcus
         committed = len(rows)
-        polls = [s for s in streams if s.kind == _POLL and s.pos]
-        # The aligned series poll at the same rows: one gather and one
-        # row sum serve every socket (else one group per socket).
-        if all(stream.rows == polls[0].rows for stream in polls):
-            groups = [polls] if polls else []
-        else:
-            groups = [[stream] for stream in polls]
         n_cores = self._n_cores
         samples = []
-        for group in groups:
-            sids = tuple(stream.sid for stream in group)
-            if sids == self._all_sids:
-                picked = observed[group[0].rows, :self._n_eet]
-            else:
-                cols = np.concatenate([self._eet_cols[sid] for sid in sids])
-                picked = observed[np.array(group[0].rows)[:, None], cols]
-            sums = picked.reshape(len(picked), -1, n_cores).sum(axis=2)
-            for j, stream in enumerate(group):
-                pcu = pcus[stream.sid]
-                cycles, stall = sums[:, 2 * j], sums[:, 2 * j + 1]
-                fractions = pcu.eet_fractions(cycles, stall)
-                first = pcu.eet.first_change(fractions, pcu.epb)
-                if first < len(stream.pos) and stream.pos[first] < committed:
-                    committed, reason = stream.pos[first] + 1, "trim_change"
-                samples.append((pcu, stream.pos, stall, cycles, fractions))
+        for stream in streams:
+            if stream.kind != _POLL or not stream.pos:
+                continue
+            pcu = pcus[stream.sid]
+            lo = 2 * n_cores * stream.sid
+            picked = observed[stream.rows, lo:lo + 2 * n_cores]
+            sums = picked.reshape(len(picked), 2, n_cores).sum(axis=2)
+            cycles, stall = sums[:, 0], sums[:, 1]
+            fractions = pcu.eet_fractions(cycles, stall)
+            first = pcu.eet.first_change(fractions, pcu.epb)
+            if first < len(stream.pos) and stream.pos[first] < committed:
+                committed, reason = stream.pos[first] + 1, "trim_change"
+            samples.append((pcu, stream.pos, stall, cycles, fractions))
         for pcu, pos, stall, cycles, fractions in samples:
             n = bisect.bisect_left(pos, committed)
             if n:

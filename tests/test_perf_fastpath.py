@@ -15,7 +15,6 @@ Three properties guard the optimization (docs/performance.md):
 from __future__ import annotations
 
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -396,7 +395,8 @@ class TestHorizonStepping:
             sim.run_for(ms(60))
             sim.run_for(ms(37) + 12_345)
             sim.run_for(777_777)
-            sim.run_for(ms(20) + 1)
+            sim.run_for(ms(23) + 1)
+            sim.run_for(ms(31) + 4)
         fast, slow, node = _stepping_pair(drive)
         _assert_parity(fast, slow)
         assert fast["now"] % 2 == 1
@@ -407,12 +407,12 @@ class TestHorizonStepping:
             sim.run_for(ms(60))
             meter = Lmg450(sim, node)
             meter.start()
-            sim.run_for(ms(260))
+            sim.run_for(ms(360))
             meter.stop()
             return list(meter.watts)
         fast, slow, node = _stepping_pair(drive)
         _assert_parity(fast, slow)
-        assert len(fast["drive"]) == 5
+        assert len(fast["drive"]) == 7
         assert node.horizon_stats.stop_foreign >= 4
 
     def test_eet_trim_change(self):
@@ -508,36 +508,6 @@ class TestHorizonStepping:
         _assert_parity(fast, slow)
         assert node.horizon_stats.taken > 0
 
-    def test_sort_merge_agrees_with_the_general_merge(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            seq = iter(rng.permutation(1000).tolist())
-            streams = []
-            for sid in range(2):
-                first = int(rng.integers(1, 600))
-                steps = rng.integers(450, 550, size=int(rng.integers(1, 30)))
-                ticks = np.concatenate(([first], first + np.cumsum(steps)))
-                event = SimpleNamespace(time_ns=first, seq=next(seq))
-                streams.append(horizon_mod._Stream(
-                    horizon_mod._TICK, sid, event, ticks=ticks))
-            first = int(rng.integers(1, 1000))
-            periodic = [horizon_mod._Stream(
-                kind, sid, SimpleNamespace(time_ns=first, seq=next(seq)),
-                task=SimpleNamespace(period_ns=1000))
-                for kind, sid in ((horizon_mod._POLL, 0),
-                                  (horizon_mod._POLL, 1),
-                                  (horizon_mod._REFRESH, -1))]
-            streams += sorted(periodic, key=lambda s: s.event.seq)
-            end = int(rng.integers(1000, 15000))
-            for stream in streams:
-                stream.count_before(end)
-            if not sum(stream.count for stream in streams):
-                continue
-            fast = horizon_mod._merge(streams)
-            general = horizon_mod._merge_by_rank(streams)
-            assert np.array_equal(fast[0], general[0])
-            assert np.array_equal(fast[1], general[1])
-
     def test_phase_churn_never_arms(self):
         sim, node = build_haswell_node(seed=5153)
         node.run_workload([c.core_id for c in node.all_cores],
@@ -619,14 +589,13 @@ class TestBatchedAccumulate:
             gathered = data[pick, lo:cols].sum(axis=1)
             assert np.array_equal(
                 gathered, [data[r, lo:cols].sum() for r in pick])
-            # the fancy gather of whole 12-core rows the horizon uses
-            width = 12 * rng.integers(1, 5)
-            data = np.cumsum(rng.random((rows, width)), axis=0)
-            cells = rng.permutation(width)[:width // 12 * 12]
-            picked = data[pick[:, None], cells].reshape(len(pick), -1, 12)
+            # a socket's aperf and stall rows side by side, 12 cores each
+            data = np.cumsum(rng.random((rows, 4 * 12)), axis=0)
+            lo = 24 * rng.integers(0, 2)
+            picked = data[pick, lo:lo + 24].reshape(len(pick), 2, 12)
             assert np.array_equal(picked.sum(axis=2), [
-                [data[r, cells[12 * j:12 * j + 12]].sum()
-                 for j in range(width // 12)] for r in pick])
+                [data[r, lo + 12 * j:lo + 12 * j + 12].sum() for j in (0, 1)]
+                for r in pick])
 
 
 # ---- 3. parallel suite parity ----------------------------------------------
