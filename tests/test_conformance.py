@@ -147,7 +147,7 @@ class TestSteadyTdpGolden:
 
     def test_replay_folds_most_ticks_into_horizons(self):
         """The byte-identical replay above runs through horizon
-        stepping: most PCU ticks (0.92 when measured, see
+        stepping: most PCU ticks (0.89 when measured, see
         docs/performance.md) are folded into batches, and so are the
         EET polls and the RAPL refreshes whose records the trace pins."""
         nodes = []

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.cstates.states import CState, PackageCState
 from repro.engine import fastpath as fastpath_mod
 from repro.engine import sanitize
+from repro.engine.events import EventQueue
 from repro.engine.simulator import Simulator
 from repro.experiments import ExperimentRunner, ExperimentSpec
 from repro.experiments.table5_max_power import run_table5
@@ -389,6 +390,13 @@ def _assert_parity(fast: dict, slow: dict) -> None:
         f"stepping diverged on {_mismatches(fast, slow)}"
 
 
+@dataclasses.dataclass
+class _Period:
+    """The period of a repeating series, as a batch stream reads it."""
+
+    period_ns: int
+
+
 class TestHorizonStepping:
     def test_run_limit_mid_horizon_at_odd_ns(self):
         def drive(sim, node):
@@ -507,6 +515,54 @@ class TestHorizonStepping:
         fast, slow, node = _stepping_pair(drive)
         _assert_parity(fast, slow)
         assert node.horizon_stats.taken > 0
+
+    def test_merge_fires_in_queue_order(self):
+        """The batch merge equals the event queue itself firing the
+        streams, each fired event pushing its successor: random tick
+        chains on a 500 ns grid tie with each other and with the 1 ms
+        series, and the pending events carry shuffled seqs."""
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            queue = EventQueue()
+            n_streams = 5
+            firsts = [int(rng.integers(1, 6)) * 500 for _ in range(2)]
+            firsts.append(int(rng.integers(1, 4)) * 500)
+            specs = []
+            for sid in range(2):
+                steps = rng.choice([1, 499, 500, 500, 501, 1000],
+                                   size=int(rng.integers(0, 40)))
+                specs.append(np.concatenate(
+                    ([firsts[sid]], firsts[sid] + np.cumsum(steps))))
+            specs += [None] * 3
+            events = [None] * n_streams
+            for i in rng.permutation(n_streams).tolist():
+                first = firsts[min(i, 2)]
+                events[i] = queue.push(first, lambda t: None, str(i))
+            streams = [
+                horizon_mod._Stream(horizon_mod._TICK, i, events[i],
+                                    ticks=specs[i]) if i < 2 else
+                horizon_mod._Stream(horizon_mod._POLL, i, events[i],
+                                    task=_Period(1000))
+                for i in range(n_streams)]
+            end = int(rng.integers(600, 20_000))
+            for stream in streams:
+                stream.count_before(end)
+            times = [stream.times().tolist() for stream in streams]
+            owner = {id(events[i]): (i, 0) for i in range(n_streams)}
+            fired_index, fired_times = [], []
+            while True:
+                event = queue.pop_next_until(end - 1)
+                if event is None:
+                    break
+                i, k = owner[id(event)]
+                fired_index.append(i)
+                fired_times.append(event.time_ns)
+                if k + 1 < len(times[i]):
+                    successor = queue.push(times[i][k + 1], lambda t: None)
+                    owner[id(successor)] = (i, k + 1)
+            index, times = horizon_mod._merge(streams)
+            assert index.tolist() == fired_index
+            assert times.tolist() == fired_times
 
     def test_phase_churn_never_arms(self):
         sim, node = build_haswell_node(seed=5153)
