@@ -46,6 +46,8 @@ from the sockets' cached rates with a scalar left-to-right loop.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -125,8 +127,8 @@ class _Stream:
         self.ticks = ticks          # tick times, each tick's successor last
         self.f_core = f_core        # each tick's dithered ceiling
         self.count = 0              # candidate events before the end
-        self.pos = None             # their positions in firing order
-        self.rows = None            # and the accumulated rows they read
+        self.pos: list[int] = []    # their positions in firing order
+        self.rows: list[int] = []   # and the accumulated rows they read
         self.fired = 0              # events in the committed prefix
 
     def count_before(self, end: int) -> int:
@@ -142,11 +144,12 @@ class _Stream:
             self.count = 0
         return self.count
 
-    def times(self) -> np.ndarray:
+    def times(self) -> list[int]:
         """The candidate event times."""
         if self.ticks is not None:
-            return self.ticks[:self.count]
-        return self.first + self.period * np.arange(self.count, dtype=np.int64)
+            return self.ticks[:self.count].tolist()
+        return list(range(self.first, self.first + self.count * self.period,
+                          self.period))
 
     def successor(self) -> int:
         """Time of the event after the last fired one."""
@@ -163,46 +166,31 @@ def _sums(acc: np.ndarray, row: int) -> np.ndarray:
     return np.add.reduce(acc[:row + 1], axis=0)
 
 
-def _merge(streams: list[_Stream]) -> tuple[np.ndarray, np.ndarray]:
+def _merge(streams: list[_Stream]) -> tuple[list[int], list[int]]:
     """Every counted event (:meth:`_Stream.count_before`) in firing
     order: ``(stream indices, times)``.
 
-    The queue fires in ``(time, seq)`` order. A pending event keeps its
-    seq; a fired event's successor gets the next seq, after everything
-    already queued — so it ranks by its predecessor's position in the
-    firing order. A predecessor fires strictly before its successor's
-    time, so re-sorting by ``(time, rank)`` with the successors ranked
-    by their predecessors' positions in the previous sort settles one
-    more firing time per pass; the order that a pass leaves unchanged
-    is the queue's (usually the second pass: ties are the aligned 1 ms
-    series, which keep their pending-seq order).
+    Replays the queue's ``(time, seq)`` order with a heap: a fired
+    event's successor gets the next seq — after everything already
+    queued, in firing order — so it ranks by its predecessor's firing.
     """
-    times = np.concatenate([s.times() for s in streams])
-    n = len(times)
-    heads = []
-    head_seqs = []
-    start = 0
-    for stream in streams:
-        if stream.count:
-            heads.append(start)
-            head_seqs.append(stream.event.seq)
-        start += stream.count
-    index = np.repeat(np.arange(len(streams)), [s.count for s in streams])
-    rank = np.empty(n, dtype=np.int64)
-    rank[heads] = head_seqs
-    successors = np.ones(n, dtype=bool)
-    successors[heads] = False
-    successors = successors.nonzero()[0]
-    predecessors = successors - 1
-    position = np.empty(n, dtype=np.int64)
-    order = np.argsort(times, kind="stable")
-    while True:
-        position[order] = np.arange(n)
-        rank[successors] = _RANK_BASE + position[predecessors]
-        settled = np.lexsort((rank, times))
-        if np.array_equal(settled, order):
-            return index[order], times[order]
-        order = settled
+    times_of = [s.times() for s in streams]
+    heap = [(t[0], s.event.seq, i)
+            for i, (s, t) in enumerate(zip(streams, times_of)) if t]
+    heapq.heapify(heap)
+    pos = [0] * len(streams)
+    index: list[int] = []
+    times: list[int] = []
+    rank = _RANK_BASE
+    while heap:
+        t, _, i = heapq.heappop(heap)
+        index.append(i)
+        times.append(t)
+        pos[i] += 1
+        if pos[i] < len(times_of[i]):
+            heapq.heappush(heap, (times_of[i][pos[i]], rank, i))
+        rank += 1
+    return index, times
 
 
 class Horizon:
@@ -281,26 +269,28 @@ class Horizon:
             if events:
                 self._decline(end, limit_ns)
             return
-        # 2. merge; number the segments (one starts at each new event
-        # time; the accumulated row an event reads is the count so far),
-        # capped at MAX_SEGMENTS
+        # 2. merge; number the segments, capped at MAX_SEGMENTS
         index, times = _merge(streams)
         now = sim.now_ns
-        starts = np.empty(len(times), dtype=bool)
-        starts[0] = times[0] != now
-        np.not_equal(times[1:], times[:-1], out=starts[1:])
-        rows = np.cumsum(starts)
-        n = int(rows.searchsorted(MAX_SEGMENTS, side="right"))
-        if n < MIN_FOLD_EVENTS:
+        rows: list[int] = []        # accumulated row each event reads
+        seg_times: list[int] = []
+        last = now
+        row = 0
+        for k, t in enumerate(times):
+            if t != last:
+                if row == MAX_SEGMENTS:
+                    reason = "cap"
+                    break
+                seg_times.append(t)
+                last = t
+                row += 1
+            rows.append(row)
+            stream = streams[index[k]]
+            stream.pos.append(k)
+            stream.rows.append(row)
+        if len(rows) < MIN_FOLD_EVENTS:
             self._decline(end, limit_ns)
             return
-        if n < len(rows):
-            reason = "cap"
-            index, times, rows = index[:n], times[:n], rows[:n]
-        seg_times = times[starts[:n]]
-        for i, stream in enumerate(streams):
-            stream.pos = (index == i).nonzero()[0]
-            stream.rows = rows[stream.pos]
 
         # 3. accumulate; 4. walk; 5. commit
         sanitized = any(s.sanitize_enabled for s in node.sockets)
@@ -310,8 +300,8 @@ class Horizon:
         acc, observed = self._accumulate(now, seg_times, rates)
         committed, reason = self._walk(streams, index, rows, times,
                                        observed, reason)
-        row = int(rows[committed - 1])
-        t_last = int(times[committed - 1])
+        row = rows[committed - 1]
+        t_last = times[committed - 1]
         final = _sums(acc, row)
         self._commit(streams, final, t_last - now)
         if sanitized:
@@ -387,7 +377,7 @@ class Horizon:
 
     # ---- accumulate -------------------------------------------------------------
 
-    def _accumulate(self, now: int, seg_times: np.ndarray,
+    def _accumulate(self, now: int, seg_times: list[int],
                     rates: list) -> tuple[np.ndarray, np.ndarray]:
         """The accumulators and their per-segment increments, row 0 the
         live values and row ``k`` the ``k``-th segment's increment (the
@@ -402,7 +392,8 @@ class Horizon:
         node = self.node
         n_stack, ac_col = self._n_stack, self._ac_col
         acc = np.empty((len(seg_times) + 1, ac_col + 1))
-        dt_ns = np.diff(seg_times, prepend=now)
+        dt_ns = np.array([t1 - t0 for t0, t1 in zip([now, *seg_times],
+                                                    seg_times)])
         dt_s = dt_ns / NS_PER_S
 
         # Row 0: the live accumulators.
@@ -437,8 +428,8 @@ class Horizon:
 
     # ---- the ordered walk -----------------------------------------------------
 
-    def _walk(self, streams: list[_Stream], index: np.ndarray,
-              rows: np.ndarray, times: np.ndarray, observed: np.ndarray,
+    def _walk(self, streams: list[_Stream], index: list[int],
+              rows: list[int], times: list[int], observed: np.ndarray,
               reason: str) -> tuple[int, str]:
         """Carry out the folded events in firing order; returns how many
         are committed and the stop reason.
@@ -455,7 +446,7 @@ class Horizon:
         n_cores = self._n_cores
         samples = []
         for stream in streams:
-            if stream.kind != _POLL or not len(stream.pos):
+            if stream.kind != _POLL or not stream.pos:
                 continue
             pcu = pcus[stream.sid]
             lo = 2 * n_cores * stream.sid
@@ -465,18 +456,20 @@ class Horizon:
             fractions = pcu.eet_fractions(cycles, stall)
             first = pcu.eet.first_change(fractions, pcu.epb)
             if first < len(stream.pos) and stream.pos[first] < committed:
-                committed, reason = int(stream.pos[first]) + 1, "trim_change"
+                committed, reason = stream.pos[first] + 1, "trim_change"
             samples.append((pcu, stream.pos, stall, cycles, fractions))
         for pcu, pos, stall, cycles, fractions in samples:
-            n = int(pos.searchsorted(committed))
+            n = bisect.bisect_left(pos, committed)
             if n:
                 pcu.eet_commit(stall[:n], cycles[:n], fractions[:n])
 
         ledgered = pcus[0].draws_ledgered
         for stream in streams:
-            stream.fired = n = int(stream.pos.searchsorted(committed))
-            pos = stream.pos = stream.pos[:n]
-            stream.rows = stream.rows[:n]
+            pos = stream.pos
+            if pos and pos[-1] >= committed:
+                del pos[bisect.bisect_left(pos, committed):]
+                del stream.rows[len(pos):]
+            stream.fired = n = len(pos)
             if not n:
                 continue
             if stream.kind == _TICK:
@@ -489,21 +482,21 @@ class Horizon:
                 # emits its record when the trace wants them.
                 every = node.sim.trace.wants("rapl-update")
                 self._latch(observed, stream.rows if every else stream.rows[-1:],
-                            times[pos if every else pos[-1:]])
+                            [times[k] for k in (pos if every else pos[-1:])])
         if ledgered:
             # One draw record per tick, across sockets in firing order.
-            for i in index[:committed].tolist():
+            for i in index[:committed]:
                 if streams[i].kind == _TICK:
                     pcus[streams[i].sid].commit_draws(1)
         return committed, reason
 
-    def _latch(self, observed: np.ndarray, rows: np.ndarray,
-               times: np.ndarray) -> None:
+    def _latch(self, observed: np.ndarray, rows: list[int],
+               times: list[int]) -> None:
         """RAPL refreshes at ``times``, from the accumulated ``rows``."""
         node = self.node
         n_sockets = len(node.sockets)
         lo = self._n_eet
-        for row, t in zip(rows.tolist(), times.tolist()):
+        for row, t in zip(rows, times):
             energy = observed[row, lo:lo + 2 * n_sockets].tolist()
             node.latch_rapl(t, [(energy[2 * sid], energy[2 * sid + 1])
                                 for sid in range(n_sockets)])
@@ -539,7 +532,7 @@ class Horizon:
     # ---- sanitize ---------------------------------------------------------------
 
     def _check(self, acc: np.ndarray, final: np.ndarray, row: int, now: int,
-               seg_times: np.ndarray, rates: list) -> None:
+               seg_times: list[int], rates: list) -> None:
         """Sanitize mode: on every ``EPOCH_CHECK_STRIDE``-th horizon,
         recompute the committed accumulators from the sockets' cached
         rates with a scalar left-to-right loop over the segments.
@@ -556,7 +549,7 @@ class Horizon:
         node = self.node
         n_stack, ac_col = self._n_stack, self._ac_col
         n_fields, n_cores = node._cnt_stack.shape[1:]
-        times = [now, *seg_times[:row].tolist()]
+        times = [now, *seg_times[:row]]
         dts = [(t1 - t0) for t0, t1 in zip(times, times[1:])]
         start = acc[0].tolist()
         got = final.tolist()
